@@ -76,10 +76,16 @@ def check_bound_dominance(n_max: int = 200, phi_cap: int = 64) -> List[str]:
     return out
 
 
+# A 62-bit prime, 1 mod 512, with 2, 3 and 5 square mod it: contexts at this
+# modulus compute in Python ints, the ones at 12289 in uint64.
+_Q_WIDE = 4611686018427379201
+
+
 def check_transform_roundtrips(trials: int = 5, size_cap: int = 64,
                                ctx: Optional[ringarith.RingContext] = None,
                                seed: int = 20240811) -> List[str]:
-    """Exact inverse(forward(a)) = a for all three families.
+    """Exact inverse(forward(a)) = a for all three families, at both kernel
+    dtypes.
 
     An explicit ctx (possibly with deliberately corrupted tables) overrides
     the built-in configurations; fault-injection tests rely on that hook.
@@ -109,18 +115,20 @@ def check_transform_roundtrips(trials: int = 5, size_cap: int = 64,
     for ds in ((2,), (2, 3, 5)):
         roundtrip(ringarith.make_context(12289, 1, ds),
                   ringarith.wht_forward, ringarith.wht_inverse, "wht")
-    roundtrip(ringarith.make_context(12289, min(8, size_cap), (2, 3)),
-              ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
+    for q in (12289, _Q_WIDE):
+        roundtrip(ringarith.make_context(q, min(8, size_cap), (2, 3)),
+                  ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
     return out
 
 
 def check_transform_homomorphism(trials: int = 10, size_cap: int = 64,
                                  seed: int = 78123) -> List[str]:
-    """Transform-domain pointwise products equal schoolbook products."""
+    """Transform-domain pointwise products equal schoolbook products, at
+    both kernel dtypes."""
     rng = random.Random(seed)
     out = []
     configs = [(12289, 8, ()), (12289, min(16, size_cap), ()),
-               (12289, 1, (2, 3, 5)), (12289, 4, (2, 3))]
+               (12289, 1, (2, 3, 5)), (12289, 4, (2, 3)), (_Q_WIDE, 4, (2, 3))]
     if size_cap >= 128:
         configs += [(12289, 128, ()), (12289, 16, (2, 3, 5))]
     for q, mc, ds in configs:
@@ -136,7 +144,7 @@ def check_transform_homomorphism(trials: int = 10, size_cap: int = 64,
             b = c.poly([rng.randrange(q) for _ in range(c.m)])
             via = inv(ringarith.pointwise_mul(fwd(a), fwd(b)))
             if via.values != ringarith.schoolbook_mul(a, b).values:
-                out.append(f"homomorphism failed at m_cyclo={mc}, d={ds}")
+                out.append(f"homomorphism failed at q={q}, m_cyclo={mc}, d={ds}")
                 break
     return out
 

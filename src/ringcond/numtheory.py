@@ -33,7 +33,6 @@ def _smallest_prime_factors() -> np.ndarray:
                 sl = spf[p * p :: p]
                 sl[sl == 0] = p
                 spf[p] = p
-        spf[spf == 0] = 0  # placeholder; fixed below
         rest = np.nonzero(spf == 0)[0]
         spf[rest] = rest  # untouched entries are prime
         _spf = spf

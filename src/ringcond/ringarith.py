@@ -12,10 +12,14 @@ plus a quadratic-time schoolbook multiplier used as the correctness oracle
 and an RNS layer that CRT-splits big-integer coefficients across several
 ring-compatible primes.
 
-Everything is plain Python integers: exact for any modulus up to the 62-bit
-cap, no intermediate-overflow analysis needed.  Each context carries a
-counter of data-dependent modular multiplications and additions; table
-precomputation at context build time is deliberately not counted.
+The transforms are vectorized and exact.  Each context picks one numpy dtype
+for its tables and working arrays: uint64 when q < 2^32, where a product of
+two residues stays below 2^64, otherwise object (Python integers) up to the
+62-bit cap.  Both dtypes run the same kernels.  PolyVec.values is always a
+tuple of Python integers, and the schoolbook oracle is pure-int.  Each
+context carries a counter of data-dependent modular multiplications and
+additions; table precomputation at context build time is deliberately not
+counted.
 
 Coefficient layout for the mixed ring: index e*m_cyclo + j holds the
 coefficient of x^j * prod(t_i for set bits i of e).  The evaluation domain
@@ -27,6 +31,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import List, Sequence
+
+import numpy as np
 
 from .numtheory import factorize, is_prime
 
@@ -54,11 +60,20 @@ class OpCounter:
         self.adds = 0
 
 
-def _bitrev(x: int, bits: int) -> int:
-    out = 0
+def _bitrev(x, bits: int):
+    """Reverse the low `bits` bits of x, an int or an integer array."""
+    out = x & 0  # 0 of x's type
     for _ in range(bits):
         out = (out << 1) | (x & 1)
-        x >>= 1
+        x = x >> 1
+    return out
+
+
+def _powers(x: int, n: int, q: int) -> List[int]:
+    """x^i mod q for i < n."""
+    out = [1] * n
+    for i in range(1, n):
+        out[i] = out[i - 1] * x % q
     return out
 
 
@@ -98,7 +113,8 @@ class RingContext:
     """Parameters plus precomputed tables for one modulus.
 
     Immutable after construction apart from the counter.  Use make_context;
-    the constructor trusts its inputs.
+    the constructor trusts its inputs.  The transform tables are arrays of
+    the dtype the kernels compute in (see the module docstring).
     """
 
     q: int
@@ -113,10 +129,11 @@ class RingContext:
         self.m = self.m_cyclo << self.r
         self.log_mc = self.m_cyclo.bit_length() - 1
         mc, q = self.m_cyclo, self.q
+        self._dtype = np.uint64 if q < 1 << 32 else object
         # bit-reversed twiddle tables; index len+i at butterfly stage len
-        ipsi = pow(self.psi, q - 2, q)
-        self._fwd = [pow(self.psi, _bitrev(i, self.log_mc), q) for i in range(mc)]
-        self._inv = [pow(ipsi, _bitrev(i, self.log_mc), q) for i in range(mc)]
+        rev = _bitrev(np.arange(mc), self.log_mc)
+        self._fwd = self._table(_powers(self.psi, mc, q))[rev]
+        self._inv = self._table(_powers(pow(self.psi, q - 2, q), mc, q))[rev]
         self._mc_inv = pow(mc, q - 2, q) if mc > 1 else 1
         # diagonal tables over quadratic monomial masks
         diag = [1] * (1 << self.r)
@@ -125,17 +142,22 @@ class RingContext:
             for e in range(1 << i):
                 diag[e | (1 << i)] = diag[e] * self.quad_roots[i] % q
                 dprod[e | (1 << i)] = dprod[e] * (self.quad_d[i] % q) % q
-        self._diag = diag
+        self._diag = self._table(diag)
         self._dprod = dprod
         inv2r = pow(1 << self.r, q - 2, q)
-        self._idiag = [inv2r * pow(d, q - 2, q) % q for d in diag]
+        self._idiag = self._table(inv2r * pow(d, q - 2, q) % q for d in diag)
         invm = pow(self.m % q, q - 2, q)
-        self._hybrid_idiag = [invm * pow(d, q - 2, q) % q for d in diag]
+        self._hybrid_idiag = self._table(invm * pow(d, q - 2, q) % q for d in diag)
+
+    def _table(self, residues) -> np.ndarray:
+        return np.array(list(residues), dtype=self._dtype)
 
     def poly(self, values: Sequence[int], domain: Domain = Domain.COEFFICIENT) -> "PolyVec":
         """Reduce a length-m integer sequence mod q and wrap it."""
         vals = tuple(int(v) % self.q for v in values)
-        return PolyVec(vals, domain, self)
+        if len(vals) != self.m:
+            raise ValueError(f"expected {self.m} residues, got {len(vals)}")
+        return PolyVec._trusted(vals, domain, self)
 
     def reset_counter(self):
         self.counter.reset()
@@ -157,6 +179,16 @@ class PolyVec:
         for v in self.values:
             if not 0 <= v < q:
                 raise ValueError(f"residue {v} outside [0, {q})")
+
+    @classmethod
+    def _trusted(cls, values: tuple, domain: Domain, ctx: RingContext) -> "PolyVec":
+        """Wrap Python-int residues already reduced mod q, skipping the O(m)
+        range check of direct construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        object.__setattr__(p, "domain", domain)
+        object.__setattr__(p, "ctx", ctx)
+        return p
 
 
 def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContext:
@@ -207,70 +239,88 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
 
 
 # ---------------------------------------------------------------------------
-# Transform kernels on mutable lists.  Counter increments are batched per
-# loop but tally exactly one mul per performed modular multiplication.
+# Transform kernels, in place on a flat residue array of the context's dtype.
+# A butterfly stage is a handful of numpy operations over a reshaped view
+# that covers every block at once.  Sums stay below 2q (a - b is formed as
+# a + (q - b), so uint64 never goes negative) and are folded back by one
+# conditional subtraction (a remainder for Python ints); products of two
+# residues are reduced with %.
+# Counter increments are batched per stage but tally exactly one mul per
+# performed modular multiplication.
 
-def _ntt_block(a: List[int], base: int, ctx: RingContext):
-    q, mc, tw = ctx.q, ctx.m_cyclo, ctx._fwd
-    cnt = ctx.counter
-    t = mc
-    lvl = 1
+def _fold(x: np.ndarray, q: int, out: np.ndarray):
+    """out = x mod q for x in [0, 2q); out must not be x."""
+    if x.dtype == object:
+        np.remainder(x, q, out=out)  # Python ints do not wrap below zero
+    else:
+        np.subtract(x, q, out=out)   # wraps to above x exactly when x < q
+        np.minimum(x, out, out=out)
+
+
+def _scale(a: np.ndarray, d, q: int):
+    """a = a * d mod q in place; d broadcasts against a."""
+    np.multiply(a, d, out=a)
+    np.remainder(a, q, out=a)
+
+
+def _butterflies(a: np.ndarray, tmp: np.ndarray, shape: tuple, q: int):
+    """(u, v) -> (u + v, u - v) mod q for every pair along axis -2 of
+    a.reshape(shape); tmp is scratch of a's size."""
+    view, s = a.reshape(shape), tmp.reshape(shape)
+    v = view[..., 1, :]
+    np.copyto(s[..., 0, :], v)
+    np.subtract(q, v, out=s[..., 1, :])
+    np.add(s, view[..., :1, :], out=s)
+    _fold(tmp, q, a)
+
+
+def _ntt(a: np.ndarray, ctx: RingContext):
+    """Forward negacyclic NTT of every length-m_cyclo block of a
+    (Cooley-Tukey: twist the odd half, then butterfly)."""
+    q, mc, cnt = ctx.q, ctx.m_cyclo, ctx.counter
+    blocks, tmp = a.size // mc, np.empty_like(a)
+    t, lvl = mc, 1
     while lvl < mc:
         t >>= 1
-        for i in range(lvl):
-            w = tw[lvl + i]
-            j0 = base + 2 * i * t
-            for j in range(j0, j0 + t):
-                u = a[j]
-                v = a[j + t] * w % q
-                a[j] = (u + v) % q
-                a[j + t] = (u - v) % q
-        cnt.muls += lvl * t
-        cnt.adds += 2 * lvl * t
+        shape = (blocks, lvl, 2, t)
+        _scale(a.reshape(shape)[:, :, 1], ctx._fwd[lvl:2 * lvl, None], q)
+        _butterflies(a, tmp, shape, q)
+        cnt.muls += a.size // 2
+        cnt.adds += a.size
         lvl <<= 1
 
 
-def _intt_block(a: List[int], base: int, ctx: RingContext, scale: bool):
-    q, mc, tw = ctx.q, ctx.m_cyclo, ctx._inv
-    cnt = ctx.counter
-    t = 1
-    lvl = mc >> 1
+def _intt(a: np.ndarray, ctx: RingContext):
+    """Unscaled inverse of _ntt on every block, m_cyclo times the inverse
+    (Gentleman-Sande: butterfly, then twist the odd half)."""
+    q, mc, cnt = ctx.q, ctx.m_cyclo, ctx.counter
+    blocks, tmp = a.size // mc, np.empty_like(a)
+    t, lvl = 1, mc >> 1
     while lvl >= 1:
-        j0 = base
-        for i in range(lvl):
-            w = tw[lvl + i]
-            for j in range(j0, j0 + t):
-                u = a[j]
-                v = a[j + t]
-                a[j] = (u + v) % q
-                a[j + t] = (u - v) * w % q
-            j0 += 2 * t
-        cnt.muls += lvl * t
-        cnt.adds += 2 * lvl * t
+        shape = (blocks, lvl, 2, t)
+        _butterflies(a, tmp, shape, q)
+        _scale(a.reshape(shape)[:, :, 1], ctx._inv[lvl:2 * lvl, None], q)
+        cnt.muls += a.size // 2
+        cnt.adds += a.size
         t <<= 1
         lvl >>= 1
-    if scale:
-        inv = ctx._mc_inv
-        for j in range(base, base + mc):
-            a[j] = a[j] * inv % q
-        cnt.muls += mc
 
 
-def _hadamard(a: List[int], ctx: RingContext, block: int):
+def _hadamard(a: np.ndarray, ctx: RingContext, block: int):
     # sign-only butterflies across the quadratic axes; block = entries that
     # share one quadratic mask (1 standalone, m_cyclo in the hybrid layout)
-    q = ctx.q
-    size = len(a)
+    tmp = np.empty_like(a)
     for i in range(ctx.r):
-        half = block << i
-        step = half << 1
-        for start in range(0, size, step):
-            for j in range(start, start + half):
-                u = a[j]
-                v = a[j + half]
-                a[j] = (u + v) % q
-                a[j + half] = (u - v) % q
-    ctx.counter.adds += ctx.r * size
+        _butterflies(a, tmp, (-1, 2, block << i), ctx.q)
+    ctx.counter.adds += ctx.r * a.size
+
+
+def _array(a: PolyVec) -> np.ndarray:
+    return np.fromiter(a.values, dtype=a.ctx._dtype, count=len(a.values))
+
+
+def _result(a: np.ndarray, domain: Domain, ctx: RingContext) -> PolyVec:
+    return PolyVec._trusted(tuple(a.tolist()), domain, ctx)
 
 
 def _require(a: PolyVec, domain: Domain):
@@ -298,9 +348,9 @@ def ntt_forward(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_cyclo(ctx)
     _require(a, Domain.COEFFICIENT)
-    vals = list(a.values)
-    _ntt_block(vals, 0, ctx)
-    return PolyVec(tuple(vals), Domain.EVALUATION, ctx)
+    vals = _array(a)
+    _ntt(vals, ctx)
+    return _result(vals, Domain.EVALUATION, ctx)
 
 
 def ntt_inverse(a: PolyVec) -> PolyVec:
@@ -309,9 +359,11 @@ def ntt_inverse(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_cyclo(ctx)
     _require(a, Domain.EVALUATION)
-    vals = list(a.values)
-    _intt_block(vals, 0, ctx, scale=True)
-    return PolyVec(tuple(vals), Domain.COEFFICIENT, ctx)
+    vals = _array(a)
+    _intt(vals, ctx)
+    _scale(vals, ctx._mc_inv, ctx.q)
+    ctx.counter.muls += ctx.m
+    return _result(vals, Domain.COEFFICIENT, ctx)
 
 
 def wht_forward(a: PolyVec) -> PolyVec:
@@ -322,13 +374,11 @@ def wht_forward(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_quad(ctx)
     _require(a, Domain.COEFFICIENT)
-    q, diag = ctx.q, ctx._diag
-    vals = list(a.values)
-    for e in range(1, len(vals)):
-        vals[e] = vals[e] * diag[e] % q
-    ctx.counter.muls += len(vals) - 1
+    vals = _array(a)
+    _scale(vals[1:], ctx._diag[1:], ctx.q)
+    ctx.counter.muls += vals.size - 1
     _hadamard(vals, ctx, 1)
-    return PolyVec(tuple(vals), Domain.EVALUATION, ctx)
+    return _result(vals, Domain.EVALUATION, ctx)
 
 
 def wht_inverse(a: PolyVec) -> PolyVec:
@@ -337,13 +387,11 @@ def wht_inverse(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_quad(ctx)
     _require(a, Domain.EVALUATION)
-    q, idiag = ctx.q, ctx._idiag
-    vals = list(a.values)
+    vals = _array(a)
     _hadamard(vals, ctx, 1)
-    for e in range(len(vals)):
-        vals[e] = vals[e] * idiag[e] % q
-    ctx.counter.muls += len(vals)
-    return PolyVec(tuple(vals), Domain.COEFFICIENT, ctx)
+    _scale(vals, ctx._idiag, ctx.q)
+    ctx.counter.muls += vals.size
+    return _result(vals, Domain.COEFFICIENT, ctx)
 
 
 def hybrid_forward(a: PolyVec) -> PolyVec:
@@ -355,17 +403,12 @@ def hybrid_forward(a: PolyVec) -> PolyVec:
     if ctx.r == 0 or ctx.m_cyclo < 2:
         raise ValueError("degenerate tensor: use ntt_forward or wht_forward directly")
     _require(a, Domain.COEFFICIENT)
-    q, mc, diag = ctx.q, ctx.m_cyclo, ctx._diag
-    vals = list(a.values)
-    for e in range(1 << ctx.r):
-        _ntt_block(vals, e * mc, ctx)
-    for e in range(1 << ctx.r):
-        d = diag[e]
-        for j in range(e * mc, (e + 1) * mc):
-            vals[j] = vals[j] * d % q
+    vals = _array(a)
+    _ntt(vals, ctx)
+    _scale(vals.reshape(-1, ctx.m_cyclo), ctx._diag[:, None], ctx.q)
     ctx.counter.muls += ctx.m
-    _hadamard(vals, ctx, mc)
-    return PolyVec(tuple(vals), Domain.EVALUATION, ctx)
+    _hadamard(vals, ctx, ctx.m_cyclo)
+    return _result(vals, Domain.EVALUATION, ctx)
 
 
 def hybrid_inverse(a: PolyVec) -> PolyVec:
@@ -376,17 +419,12 @@ def hybrid_inverse(a: PolyVec) -> PolyVec:
     if ctx.r == 0 or ctx.m_cyclo < 2:
         raise ValueError("degenerate tensor: use ntt_inverse or wht_inverse directly")
     _require(a, Domain.EVALUATION)
-    q, mc, idiag = ctx.q, ctx.m_cyclo, ctx._hybrid_idiag
-    vals = list(a.values)
-    _hadamard(vals, ctx, mc)
-    for e in range(1 << ctx.r):
-        _intt_block(vals, e * mc, ctx, scale=False)
-    for e in range(1 << ctx.r):
-        d = idiag[e]
-        for j in range(e * mc, (e + 1) * mc):
-            vals[j] = vals[j] * d % q
+    vals = _array(a)
+    _hadamard(vals, ctx, ctx.m_cyclo)
+    _intt(vals, ctx)
+    _scale(vals.reshape(-1, ctx.m_cyclo), ctx._hybrid_idiag[:, None], ctx.q)
     ctx.counter.muls += ctx.m
-    return PolyVec(tuple(vals), Domain.COEFFICIENT, ctx)
+    return _result(vals, Domain.COEFFICIENT, ctx)
 
 
 def pointwise_mul(a: PolyVec, b: PolyVec) -> PolyVec:
@@ -396,10 +434,10 @@ def pointwise_mul(a: PolyVec, b: PolyVec) -> PolyVec:
         raise ValueError("operands from different contexts")
     _require(a, Domain.EVALUATION)
     _require(b, Domain.EVALUATION)
-    q = a.ctx.q
-    vals = tuple(u * v % q for u, v in zip(a.values, b.values))
+    vals = _array(a)
+    _scale(vals, _array(b), a.ctx.q)
     a.ctx.counter.muls += a.ctx.m
-    return PolyVec(vals, Domain.EVALUATION, a.ctx)
+    return _result(vals, Domain.EVALUATION, a.ctx)
 
 
 def schoolbook_mul(a: PolyVec, b: PolyVec) -> PolyVec:
@@ -475,13 +513,15 @@ def rns_decompose(coeffs: Sequence[int], rns: RnsContext) -> List[PolyVec]:
 
 
 def rns_reconstruct(parts: Sequence[PolyVec], rns: RnsContext) -> List[int]:
-    """Explicit CRT back to integers in [0, Q)."""
+    """Explicit CRT back to integers in [0, Q); every limb must be in the
+    coefficient domain."""
     if len(parts) != len(rns.contexts):
         raise ValueError(
             f"expected {len(rns.contexts)} limbs, got {len(parts)}")
     for part, ctx in zip(parts, rns.contexts):
         if part.ctx is not ctx:
             raise ValueError("limb bound to a different context (moduli mismatch)")
+        _require(part, Domain.COEFFICIENT)
     big_q = rns.modulus_product
     basis = []
     for ctx in rns.contexts:

@@ -6,6 +6,7 @@ are asserted as exact integers against the closed forms.
 """
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,6 +319,48 @@ def test_transform_multiplication_matches_schoolbook(maker):
         assert via_transform.values == ra.schoolbook_mul(a, b).values
 
 
+# Both kernel dtypes: a prime just below 2^32 runs in uint64, where products
+# of residues near q - 1 come within 2^-16 of 2^64; a 62-bit prime runs in
+# Python ints.  Both are 1 mod 512 and have 2, 3 and 5 as squares.
+Q_U64 = 4294937089
+Q_OBJECT = 4611686018427379201
+
+
+def _closed_counts(ctx):
+    """(forward, inverse) as {"muls", "adds"} from the closed forms."""
+    m, r, lg = ctx.m, ctx.r, ctx.m_cyclo.bit_length() - 1
+    if r == 0:
+        return ({"muls": m // 2 * lg, "adds": m * lg},
+                {"muls": m // 2 * lg + m, "adds": m * lg})
+    if ctx.m_cyclo == 1:  # the unit diagonal entry is not counted
+        return ({"muls": m - 1, "adds": r * m}, {"muls": m, "adds": r * m})
+    both = {"muls": m // 2 * lg + m, "adds": m * lg + r * m}
+    return both, both
+
+
+@pytest.mark.parametrize("q", [Q_U64, Q_OBJECT], ids=["uint64", "object"])
+@pytest.mark.parametrize("mc, ds", [(64, ()), (1, (2, 3, 5)), (8, (2, 3))],
+                         ids=["ntt", "wht", "hybrid"])
+def test_transforms_exact_at_both_dtypes(q, mc, ds):
+    ctx = ra.make_context(q, mc, ds)
+    assert (q < 1 << 32) == (ctx._fwd.dtype == np.uint64)
+    fwd, inv = _transform_pair(ctx)
+    want_fwd, want_inv = _closed_counts(ctx)
+    rng = random.Random(13)
+    top = ctx.poly([q - 1] * ctx.m)
+    mixed = ctx.poly([rng.choice((q - 1, q - 2, 1, rng.randrange(q))) for _ in range(ctx.m)])
+    for a, b in [(top, top), (top, mixed), (mixed, rand_poly(ctx, rng))]:
+        ctx.reset_counter()
+        fa = fwd(a)
+        assert ra.count_report(ctx) == want_fwd
+        assert all(type(v) is int and 0 <= v < q for v in fa.values)
+        ctx.reset_counter()
+        assert inv(fa).values == a.values
+        assert ra.count_report(ctx) == want_inv
+        via_transform = inv(ra.pointwise_mul(fa, fwd(b)))
+        assert via_transform.values == ra.schoolbook_mul(a, b).values
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=256), min_size=16, max_size=16),
        st.lists(st.integers(min_value=0, max_value=256), min_size=16, max_size=16))
@@ -365,6 +408,16 @@ def test_rns_rejects_foreign_limbs():
         ra.rns_reconstruct([parts[0], other.poly([1, 2, 3, 4])], rns)
     with pytest.raises(ValueError):
         ra.rns_reconstruct(parts[:1], rns)
+
+
+def test_rns_reconstruct_requires_coefficient_domain():
+    # CRT of evaluation-domain limbs would be plausible-looking wrong integers
+    rns = ra.make_rns_context((17, 97), 4)
+    parts = [ra.ntt_forward(p) for p in ra.rns_decompose([1, 2, 3, 4], rns)]
+    with pytest.raises(ra.DomainError):
+        ra.rns_reconstruct(parts, rns)
+    with pytest.raises(ra.DomainError):
+        ra.rns_reconstruct([ra.rns_decompose([1, 2, 3, 4], rns)[0], parts[1]], rns)
 
 
 def test_rns_big_coefficient_multiply():
