@@ -76,6 +76,31 @@ def check_bound_dominance(n_max: int = 200, phi_cap: int = 64) -> List[str]:
     return out
 
 
+def check_factored_cond(n_max: int = 100, phi_cap: int = 64,
+                        precisions: Tuple[str, ...] = ("double",)) -> List[str]:
+    """Factored condition numbers vs the dense reference, for the power and
+    twisted bases and, with the smallest prime not dividing n, the twisted
+    and hybrid cyclo-multiquadratic bases."""
+    out = []
+    for prec in precisions:
+        with linalg.precision(prec):
+            for n in range(2, n_max + 1):
+                c = factorize(n)
+                if c.phi > phi_cap:
+                    continue
+                q, = first_primes(1, exclude=[p for p, _ in c.factors])
+                for spec in (EmbeddingSpec(c), EmbeddingSpec(c, basis=Basis.TWISTED),
+                             EmbeddingSpec(c, (q,), Basis.TWISTED),
+                             EmbeddingSpec(c, (q,), Basis.HYBRID)):
+                    fac = embeddings.factored_cond(spec)
+                    dense = embeddings.numeric_cond(spec)
+                    rel = float(abs(fac - dense) / dense)
+                    if rel > 1e-12:
+                        out.append(f"factored {spec.basis.value} n={n} q={spec.quad_primes} "
+                                   f"at {prec}: {fac!r} vs dense {dense!r} (rel {rel:.2e})")
+    return out
+
+
 # A 62-bit prime, 1 mod 512, with 2, 3 and 5 square mod it: contexts at this
 # modulus compute in Python ints, the ones at 12289 in uint64.
 _Q_WIDE = 4611686018427379201
@@ -315,6 +340,7 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("closed-form vs numeric (n<=200)", check_closed_forms),
     ("twisted form vs numeric (n<=200)", check_twisted_forms),
     ("bound dominance (n<=200)", check_bound_dominance),
+    ("factored vs dense condition numbers (n<=100)", check_factored_cond),
     ("transform round-trips (m<=64)", check_transform_roundtrips),
     ("transform homomorphism (m<=64)", check_transform_homomorphism),
     ("operation counts", check_operation_counts),
@@ -329,6 +355,8 @@ FULL: List[Tuple[str, Callable[[], List[str]]]] = QUICK + [
      lambda: check_closed_forms(2000, 512)),
     ("twisted form vs numeric (n<=2000)",
      lambda: check_twisted_forms(2000, 512)),
+    ("factored vs dense condition numbers (n<=300, both precisions)",
+     lambda: check_factored_cond(300, 300, ("double", "extended"))),
     ("transform homomorphism (m<=512)",
      lambda: check_transform_homomorphism(trials=5, size_cap=128)),
     ("derivative-denominator inequality (20 conductors)", check_dens_inequality),

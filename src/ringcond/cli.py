@@ -17,8 +17,10 @@ medians are byte-deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import random
 import statistics
 import sys
@@ -42,8 +44,6 @@ class SweepConfig:
     omega_filter: Optional[int]      # None means any
     numeric_cap: int = 512
     out_path: str = "-"
-    basis: Basis = Basis.POWER
-    quad_primes: tuple = ()
 
     def __post_init__(self):
         if self.n_min > self.n_max:
@@ -69,10 +69,50 @@ def _fmt(value, exact_int: Optional[int] = None) -> str:
     return f"{x:.11e}"
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _write_csv(path: str, header, rows) -> int:
+    """Write a header and an iterable of rows (consumed lazily) as CSV.
+
+    '-' streams to stdout.  A regular file is written under a temporary name
+    in its own directory and renamed over `path` after the last row, so a
+    sweep that fails part-way leaves no truncated CSV and any earlier file
+    at `path` untouched.  An existing non-regular `path` (a device or a pipe)
+    is written in place.  Returns the exit code: 2 when the output cannot be
+    opened or written; any other exception propagates.
+    """
+    target = tmp = None
+    if path != "-":
+        target = os.path.realpath(path)
+        if not os.path.exists(target) or os.path.isfile(target):
+            tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = sys.stdout if target is None else open(tmp or target, "w", newline="")
+    except OSError as exc:
+        print(f"cannot open output: {exc}", file=sys.stderr)
+        return 2
+    try:
+        try:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        finally:
+            if fh is not sys.stdout:
+                fh.close()
+        if tmp is not None:
+            os.replace(tmp, target)
+    except OSError as exc:
+        _discard(tmp)
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except BaseException:
+        _discard(tmp)
+        raise
+    return 0
+
+
+def _discard(tmp: Optional[str]):
+    if tmp is not None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted",
@@ -80,42 +120,36 @@ COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted
                "numeric_twisted"]
 
 
+def _cond_rows(config: SweepConfig):
+    for n in range(max(config.n_min, 2), config.n_max + 1):
+        c = factorize(n)
+        if config.omega_filter is not None and c.omega != config.omega_filter:
+            continue
+        closed = formulas.cond_exact_prime_power(c)
+        twisted = formulas.cond_exact_twisted(c)
+        refined = formulas.cond_bound_refined(c)
+        # the general bound scales linearly in the height, so the
+        # height-normalized column is just the bound evaluated at height 1
+        over_a = formulas.cond_bound_general(c, coeff_height=1)
+        num_p = num_t = None
+        if 0 < c.phi <= config.numeric_cap:
+            num_p = embeddings.factored_cond(EmbeddingSpec(c))
+            # for a prime power the twisted matrix is the power matrix
+            num_t = num_p if c.omega == 1 else embeddings.factored_cond(
+                EmbeddingSpec(c, basis=Basis.TWISTED))
+        yield [
+            n, c.omega, c.phi, c.rad, height(n),
+            _fmt(closed.value if closed.applicable else None),
+            _fmt(twisted.value if twisted.applicable else None),
+            _fmt(refined.value if refined.applicable else None),
+            _fmt(over_a.value if over_a.applicable else None,
+                 exact_int=over_a.symbolic.coeff.numerator if over_a.symbolic else None),
+            _fmt(num_p), _fmt(num_t),
+        ]
+
+
 def cmd_cond(config: SweepConfig) -> int:
-    try:
-        fh, owned = _open_out(config.out_path)
-    except OSError as exc:
-        print(f"cannot open output: {exc}", file=sys.stderr)
-        return 2
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COND_HEADER)
-        for n in range(max(config.n_min, 2), config.n_max + 1):
-            c = factorize(n)
-            if config.omega_filter is not None and c.omega != config.omega_filter:
-                continue
-            closed = formulas.cond_exact_prime_power(c)
-            twisted = formulas.cond_exact_twisted(c)
-            refined = formulas.cond_bound_refined(c)
-            # the general bound scales linearly in the height, so the
-            # height-normalized column is just the bound evaluated at height 1
-            over_a = formulas.cond_bound_general(c, coeff_height=1)
-            num_p = num_t = None
-            if 0 < c.phi <= config.numeric_cap:
-                num_p = embeddings.numeric_cond(EmbeddingSpec(c))
-                num_t = embeddings.numeric_cond(EmbeddingSpec(c, basis=Basis.TWISTED))
-            writer.writerow([
-                n, c.omega, c.phi, c.rad, height(n),
-                _fmt(closed.value if closed.applicable else None),
-                _fmt(twisted.value if twisted.applicable else None),
-                _fmt(refined.value if refined.applicable else None),
-                _fmt(over_a.value if over_a.applicable else None,
-                     exact_int=over_a.symbolic.coeff.numerator if over_a.symbolic else None),
-                _fmt(num_p), _fmt(num_t),
-            ])
-    finally:
-        if owned:
-            fh.close()
-    return 0
+    return _write_csv(config.out_path, COND_HEADER, _cond_rows(config))
 
 
 def _bench_prime(m_total: int, quad_d: Sequence[int], q_bits: int) -> int:
@@ -188,26 +222,14 @@ def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> 
         print(str(exc), file=sys.stderr)
         return 1
 
-    try:
-        fh, owned = _open_out(out_path)
-    except OSError as exc:
-        print(f"cannot open output: {exc}", file=sys.stderr)
-        return 2
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BENCH_HEADER)
-        writer.writerow([
-            m_cyclo, r, m_total, q,
-            base_f[0], base_f[1], base_i[0], base_i[1],
-            hyb_f[0], hyb_f[1], hyb_i[0], hyb_i[1],
-            _fmt(base_f[0] / hyb_f[0]),
-            _fmt((u + r) / u) if u else "",
-            _fmt(base_ms), _fmt(hyb_ms),
-        ])
-    finally:
-        if owned:
-            fh.close()
-    return 0
+    return _write_csv(out_path, BENCH_HEADER, [[
+        m_cyclo, r, m_total, q,
+        base_f[0], base_f[1], base_i[0], base_i[1],
+        hyb_f[0], hyb_f[1], hyb_i[0], hyb_i[1],
+        _fmt(base_f[0] / hyb_f[0]),
+        _fmt((u + r) / u) if u else "",
+        _fmt(base_ms), _fmt(hyb_ms),
+    ]])
 
 
 def cmd_verify(full: bool) -> int:

@@ -25,13 +25,10 @@ class Precision:
     name: str
     complex_dtype: object
     real_dtype: object
-    eps: float
 
 
-DOUBLE = Precision("double", np.complex128, np.float64, float(np.finfo(np.float64).eps))
-EXTENDED = Precision(
-    "extended", np.clongdouble, np.longdouble, float(np.finfo(np.longdouble).eps)
-)
+DOUBLE = Precision("double", np.complex128, np.float64)
+EXTENDED = Precision("extended", np.clongdouble, np.longdouble)
 
 _BY_NAME = {"double": DOUBLE, "extended": EXTENDED}
 _active = DOUBLE
@@ -299,17 +296,17 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     # farthest (in product of distances) from those already consumed
     n = roots.size
     order = np.empty(n, dtype=np.intp)
-    taken = np.zeros(n, dtype=bool)
     gain = np.zeros(n)
     j = int(np.argmax(np.abs(roots)))
-    for t in range(n):
-        order[t] = j
-        taken[j] = True
-        with np.errstate(divide="ignore"):
+    # a consumed root stays at -inf: it gets log 0 when consumed, and later
+    # steps add only finite logs (the roots are distinct)
+    with np.errstate(divide="ignore"):
+        for t in range(n):
+            order[t] = j
             gain += np.log(np.abs(roots - roots[j]).astype(np.float64))
-        gain[taken] = -np.inf
-        if t + 1 < n:
-            j = int(np.argmax(gain))
+            gain[j] = -np.inf
+            if t + 1 < n:
+                j = int(np.argmax(gain))
     return order
 
 

@@ -155,7 +155,8 @@ def _twisted_slopes_to(cap: int) -> dict:
     for p in range(2, int(cap**0.5) + 1):
         if spf[p] == 0:
             spf[p * p::p][spf[p * p::p] == 0] = p
-    logn = np.log10(np.arange(cap + 1, dtype=np.float64), where=np.arange(cap + 1) > 0)
+    logn = np.log10(np.arange(cap + 1, dtype=np.float64), where=np.arange(cap + 1) > 0,
+                    out=np.zeros(cap + 1))
     logv = np.zeros(cap + 1)
     omega = np.zeros(cap + 1, dtype=np.int8)
     sample = random.Random(4_000_000).sample(range(2, cap + 1), 300)

@@ -3,10 +3,11 @@ ratios, verify suites, exit codes, and the precision flag."""
 import csv
 import io
 import math
+import os
 
 import pytest
 
-from ringcond import _checks, cli, linalg, ringarith
+from ringcond import _checks, cli, formulas, linalg, ringarith
 from ringcond.numtheory import is_prime
 
 
@@ -229,6 +230,51 @@ def test_unwritable_output_exits_2(capsys):
                    "--out", "/nonexistent-dir/x.csv"])
     assert rc == 2
     assert "cannot open output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,rc", [(RuntimeError, None), (OSError, 2)])
+def test_failed_sweep_leaves_existing_output_untouched(tmp_path, monkeypatch, capsys,
+                                                       exc, rc):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier run\n")
+    real = formulas.cond_bound_refined
+
+    def failing_at_30(c):
+        if c.n == 30:
+            raise exc("injected")
+        return real(c)
+
+    monkeypatch.setattr(formulas, "cond_bound_refined", failing_at_30)
+    argv = ["cond", "--min", "2", "--max", "40", "--numeric-cap", "16", "--out", str(out)]
+    if rc is None:
+        with pytest.raises(exc, match="injected"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == rc
+        assert "cannot write output" in capsys.readouterr().err
+    assert out.read_text() == "earlier run\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_output_replaces_file_behind_symlink(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("earlier run\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main(["cond", "--min", "3", "--max", "3", "--numeric-cap", "0",
+                     "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith(",".join(cli.COND_HEADER))
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+def test_output_to_device_is_written_in_place(monkeypatch):
+    def no_rename(*args):
+        raise AssertionError(f"renamed over a device: {args}")
+
+    monkeypatch.setattr(cli.os, "replace", no_rename)
+    assert cli.main(["cond", "--min", "3", "--max", "3", "--numeric-cap", "0",
+                     "--out", os.devnull]) == 0
 
 
 def test_limit_can_be_raised(tmp_path):

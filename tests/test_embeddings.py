@@ -11,12 +11,14 @@ from ringcond.embeddings import (
     EmbeddingSpec,
     cyclotomic_vandermonde,
     embedding_matrix,
+    factored_cond,
     numeric_cond,
     primitive_roots_of_unity,
     quadratic_block,
     twisted_vandermonde,
 )
-from ringcond.numtheory import cyclotomic_poly, factorize
+from ringcond.formulas import cond_exact_twisted
+from ringcond.numtheory import cyclotomic_poly, factorize, first_primes
 
 
 @pytest.fixture(autouse=True)
@@ -188,3 +190,56 @@ def test_extended_precision_dtype_flows_through():
         assert m.dtype == np.clongdouble
         v = numeric_cond(EmbeddingSpec(16))
         assert float(v) == pytest.approx(8.0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# factored_cond against the dense reference
+
+
+def _spec_of_kind(n, kind):
+    c = factorize(n)
+    q, = first_primes(1, exclude=[p for p, _ in c.factors])
+    return {
+        "power": lambda: EmbeddingSpec(c),
+        "twisted": lambda: EmbeddingSpec(c, basis=Basis.TWISTED),
+        "twisted+q": lambda: EmbeddingSpec(c, (q,), Basis.TWISTED),
+        "hybrid": lambda: EmbeddingSpec(c, (q,), Basis.HYBRID),
+    }[kind]()
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("kind", ["power", "twisted", "twisted+q", "hybrid"])
+def test_factored_cond_matches_dense(precision, kind):
+    checked = 0
+    with linalg.precision(precision):
+        for n in range(2, 301):
+            spec = _spec_of_kind(n, kind)
+            if spec.dimension > 512:
+                continue
+            fac, dense = factored_cond(spec), numeric_cond(spec)
+            assert type(fac) is type(dense)
+            rel = float(abs(fac - dense) / dense)
+            assert rel <= 1e-12, (n, spec.quad_primes, fac, dense, rel)
+            checked += 1
+    assert checked >= 240
+
+
+@pytest.mark.parametrize("n,basis", [(3003, Basis.POWER), (3003, Basis.TWISTED),
+                                     (8192, Basis.POWER)])
+def test_factored_cond_matches_dense_at_large_dimension(n, basis):
+    # phi(3003) = 1440; phi(8192) = 4096 is the largest dimension the dense
+    # reference accepts, and there the twisted matrix is the power matrix
+    spec = EmbeddingSpec(n, basis=basis)
+    fac, dense = factored_cond(spec), numeric_cond(spec)
+    assert float(abs(fac - dense) / dense) <= 1e-12
+
+
+def test_factored_cond_twisted_beyond_materialization_cap():
+    # phi = 92160, far past the dense cap; the largest factor has dimension 16
+    n = 3 * 5 * 7 * 11 * 13 * 17
+    spec = EmbeddingSpec(n, basis=Basis.TWISTED)
+    with pytest.raises(ValueError, match="cap"):
+        embedding_matrix(spec)
+    assert factored_cond(spec) == pytest.approx(cond_exact_twisted(n).value, rel=1e-9)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        factored_cond(EmbeddingSpec(2**14))  # one Vandermonde factor of dimension 8192

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ringcond import linalg
+from ringcond.embeddings import primitive_roots_of_unity
 
 
 @pytest.fixture(autouse=True)
@@ -290,3 +291,38 @@ def test_explicit_inverse_large_unit_circle_sets(n):
     w_lu = linalg.invert(linalg.vandermonde(roots))
     w_ex = linalg.vandermonde_inverse_explicit(roots)
     assert np.max(np.abs(w_ex - w_lu) / np.abs(w_lu)) <= 1e-8
+
+
+def _leja_order_masked(roots):
+    # reference greedy loop: consumed roots are tracked in a mask and reset
+    # to -inf after every step
+    n = roots.size
+    order = np.empty(n, dtype=np.intp)
+    taken = np.zeros(n, dtype=bool)
+    gain = np.zeros(n)
+    j = int(np.argmax(np.abs(roots)))
+    for t in range(n):
+        order[t] = j
+        taken[j] = True
+        with np.errstate(divide="ignore"):
+            gain += np.log(np.abs(roots - roots[j]).astype(np.float64))
+        gain[taken] = -np.inf
+        if t + 1 < n:
+            j = int(np.argmax(gain))
+    return order
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_explicit_inverse_equals_masked_leja_reference(precision, monkeypatch):
+    rng = np.random.default_rng(11)
+    with linalg.precision(precision):
+        dtype = linalg.active_precision().complex_dtype
+        sets = [primitive_roots_of_unity(n) for n in (2, 7, 105, 1280)]
+        sets.append((rng.standard_normal(40) + 1j * rng.standard_normal(40)).astype(dtype))
+        for roots in sets:
+            assert np.array_equal(linalg._leja_order(roots), _leja_order_masked(roots))
+            got = linalg.vandermonde_inverse_explicit(roots)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_leja_order", _leja_order_masked)
+                want = linalg.vandermonde_inverse_explicit(roots)
+            assert got.dtype == dtype and np.array_equal(got, want)
