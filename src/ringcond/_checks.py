@@ -104,6 +104,11 @@ def check_factored_cond(n_max: int = 100, phi_cap: int = 64,
 # A 62-bit prime, 1 mod 512, with 2, 3 and 5 square mod it: contexts at this
 # modulus compute in Python ints, the ones at 12289 in uint64.
 _Q_WIDE = 4611686018427379201
+# Rings large enough for the transform plans to switch layouts: a 4096-point
+# NTT (split at its middle stage, q = 5 * 2^13 + 1) and a 16 x 2^7 hybrid
+# (block axis innermost, Hadamard axes in two layouts; squares mod 12289).
+_SPLIT_NTT = (40961, 4096, ())
+_SPLIT_HYBRID = (12289, 16, (2, 3, 5, 7, 13, 17, 29))
 
 
 def check_transform_roundtrips(trials: int = 5, size_cap: int = 64,
@@ -143,6 +148,10 @@ def check_transform_roundtrips(trials: int = 5, size_cap: int = 64,
     for q in (12289, _Q_WIDE):
         roundtrip(ringarith.make_context(q, min(8, size_cap), (2, 3)),
                   ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
+    roundtrip(ringarith.make_context(*_SPLIT_NTT),
+              ringarith.ntt_forward, ringarith.ntt_inverse, "ntt")
+    roundtrip(ringarith.make_context(*_SPLIT_HYBRID),
+              ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
     return out
 
 
@@ -171,6 +180,18 @@ def check_transform_homomorphism(trials: int = 10, size_cap: int = 64,
             if via.values != ringarith.schoolbook_mul(a, b).values:
                 out.append(f"homomorphism failed at q={q}, m_cyclo={mc}, d={ds}")
                 break
+    # the split layouts, with a 4-term operand so that the schoolbook oracle
+    # stays cheap at m = 4096
+    for (q, mc, ds), fwd, inv in (
+            (_SPLIT_NTT, ringarith.ntt_forward, ringarith.ntt_inverse),
+            (_SPLIT_HYBRID, ringarith.hybrid_forward, ringarith.hybrid_inverse)):
+        c = ringarith.make_context(q, mc, ds)
+        sparse = [0] * c.m
+        for i in rng.sample(range(c.m), 4):
+            sparse[i] = rng.randrange(1, q)
+        a, b = c.poly(sparse), c.poly([rng.randrange(q) for _ in range(c.m)])
+        if inv(ringarith.pointwise_mul(fwd(a), fwd(b))) != ringarith.schoolbook_mul(a, b):
+            out.append(f"homomorphism failed at q={q}, m_cyclo={mc}, d={ds}")
     return out
 
 
@@ -341,8 +362,10 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("twisted form vs numeric (n<=200)", check_twisted_forms),
     ("bound dominance (n<=200)", check_bound_dominance),
     ("factored vs dense condition numbers (n<=100)", check_factored_cond),
-    ("transform round-trips (m<=64)", check_transform_roundtrips),
-    ("transform homomorphism (m<=64)", check_transform_homomorphism),
+    ("transform round-trips (m<=64, split layouts at m=4096, 2048)",
+     check_transform_roundtrips),
+    ("transform homomorphism (m<=64, split layouts at m=4096, 2048)",
+     check_transform_homomorphism),
     ("operation counts", check_operation_counts),
     ("rns round-trip", check_rns_roundtrip),
     ("explicit Vandermonde inverse", check_explicit_inverse),
@@ -357,7 +380,7 @@ FULL: List[Tuple[str, Callable[[], List[str]]]] = QUICK + [
      lambda: check_twisted_forms(2000, 512)),
     ("factored vs dense condition numbers (n<=300, both precisions)",
      lambda: check_factored_cond(300, 300, ("double", "extended"))),
-    ("transform homomorphism (m<=512)",
+    ("transform homomorphism (m<=512, split layouts at m=4096, 2048)",
      lambda: check_transform_homomorphism(trials=5, size_cap=128)),
     ("derivative-denominator inequality (20 conductors)", check_dens_inequality),
     ("inverse-entry bound sweep (phi<=256)", check_inverse_entry_bound),

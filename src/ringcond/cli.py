@@ -6,13 +6,17 @@ Three subcommands:
           formulas, the bounds, and (under a dimension cap) numeric
           condition numbers for both bases
   bench   compare counted multiplications and wall-clock of a full-size
-          negacyclic NTT against the tensor hybrid at the same dimension
+          negacyclic NTT against the tensor hybrid at the same dimension;
+          counted_ratio divides the forward multiplication counts,
+          wall_ratio the median round-trip times (ntt_swap_ms /
+          hybrid_swap_ms)
   verify  run the cross-module invariant suites
 
 CSV numbers use 12 significant digits; values beyond double range are
 rendered from their exact integer form, so the sweep stays meaningful where
 the general bound reaches 10^350.  All columns except the bench timing
-medians are byte-deterministic for a fixed configuration.
+medians and their wall_ratio are byte-deterministic for a fixed
+configuration.
 """
 from __future__ import annotations
 
@@ -169,7 +173,7 @@ BENCH_HEADER = ["m_cyclo", "r", "m_total", "q",
                 "ntt_fwd_muls", "ntt_fwd_adds", "ntt_inv_muls", "ntt_inv_adds",
                 "hybrid_fwd_muls", "hybrid_fwd_adds", "hybrid_inv_muls",
                 "hybrid_inv_adds", "counted_ratio", "asymptotic_ratio",
-                "ntt_swap_ms", "hybrid_swap_ms"]
+                "ntt_swap_ms", "hybrid_swap_ms", "wall_ratio"]
 
 
 def _timed_swap(fwd, inv, poly, trials: int) -> float:
@@ -228,7 +232,7 @@ def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> 
         hyb_f[0], hyb_f[1], hyb_i[0], hyb_i[1],
         _fmt(base_f[0] / hyb_f[0]),
         _fmt((u + r) / u) if u else "",
-        _fmt(base_ms), _fmt(hyb_ms),
+        _fmt(base_ms), _fmt(hyb_ms), _fmt(base_ms / hyb_ms),
     ]])
 
 

@@ -15,8 +15,10 @@ ring-compatible primes.
 The transforms are vectorized and exact.  Each context picks one numpy dtype
 for its tables and working arrays: uint64 when q < 2^32, where a product of
 two residues stays below 2^64, otherwise object (Python integers) up to the
-62-bit cap.  Both dtypes run the same kernels.  PolyVec.values is always a
-tuple of Python integers, and the schoolbook oracle is pure-int.  Each
+62-bit cap.  Both dtypes run the same kernels.  A PolyVec keeps its residues
+in a read-only array of that dtype, so transforms pass arrays from one to
+the next; PolyVec.values gives the same residues as a tuple of Python
+integers, built on first access.  The schoolbook oracle is pure-int.  Each
 context carries a counter of data-dependent modular multiplications and
 additions; table precomputation at context build time is deliberately not
 counted.
@@ -29,8 +31,10 @@ block and the quadratic sign choices across blocks.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -148,47 +152,93 @@ class RingContext:
         self._idiag = self._table(inv2r * pow(d, q - 2, q) % q for d in diag)
         invm = pow(self.m % q, q - 2, q)
         self._hybrid_idiag = self._table(invm * pow(d, q - 2, q) % q for d in diag)
+        self._plans = {}
 
     def _table(self, residues) -> np.ndarray:
         return np.array(list(residues), dtype=self._dtype)
 
+    def _plan(self, forward: bool) -> "_Plan":
+        """The forward or inverse NTT / hybrid plan, built on first use; it
+        holds views of the twiddle and diagonal tables."""
+        if forward not in self._plans:
+            self._plans[forward] = _build_plan(self, forward)
+        return self._plans[forward]
+
     def poly(self, values: Sequence[int], domain: Domain = Domain.COEFFICIENT) -> "PolyVec":
         """Reduce a length-m integer sequence mod q and wrap it."""
-        vals = tuple(int(v) % self.q for v in values)
-        if len(vals) != self.m:
-            raise ValueError(f"expected {self.m} residues, got {len(vals)}")
-        return PolyVec._trusted(vals, domain, self)
+        return _reduce(_int_array(values), self, domain)
 
     def reset_counter(self):
         self.counter.reset()
 
 
-@dataclass(frozen=True)
 class PolyVec:
-    """Length-m residue vector with a domain tag, bound to its context."""
+    """Length-m residue vector with a domain tag, bound to its context.
 
-    values: tuple
-    domain: Domain
-    ctx: RingContext
+    The residues live in a read-only numpy array of the context's dtype;
+    `values` is the same residues as a tuple of Python ints, built from the
+    array on first access and cached.  Immutable; equal when the residues,
+    the domain and the context are.
+    """
 
-    def __post_init__(self):
-        if len(self.values) != self.ctx.m:
-            raise ValueError(
-                f"expected {self.ctx.m} residues, got {len(self.values)}")
-        q = self.ctx.q
-        for v in self.values:
+    __slots__ = ("_arr", "_values", "domain", "ctx")
+    __hash__ = None
+
+    def __init__(self, values: Sequence[int], domain: Domain, ctx: RingContext):
+        values = tuple(map(operator.index, values))
+        if len(values) != ctx.m:
+            raise ValueError(f"expected {ctx.m} residues, got {len(values)}")
+        q = ctx.q
+        for v in values:
             if not 0 <= v < q:
                 raise ValueError(f"residue {v} outside [0, {q})")
+        self._wrap(np.array(values, dtype=ctx._dtype), domain, ctx, values)
 
     @classmethod
-    def _trusted(cls, values: tuple, domain: Domain, ctx: RingContext) -> "PolyVec":
-        """Wrap Python-int residues already reduced mod q, skipping the O(m)
-        range check of direct construction."""
+    def _trusted(cls, arr: np.ndarray, domain: Domain, ctx: RingContext) -> "PolyVec":
+        """Wrap a residue array of ctx's dtype already reduced mod q, without
+        the checks of direct construction.  The PolyVec takes the array over
+        and makes it read-only."""
         p = object.__new__(cls)
-        object.__setattr__(p, "values", values)
-        object.__setattr__(p, "domain", domain)
-        object.__setattr__(p, "ctx", ctx)
+        p._wrap(arr, domain, ctx, None)
         return p
+
+    def _wrap(self, arr, domain, ctx, values):
+        arr.flags.writeable = False
+        for name, v in (("_arr", arr), ("_values", values), ("domain", domain), ("ctx", ctx)):
+            object.__setattr__(self, name, v)
+
+    @property
+    def values(self) -> tuple:
+        """The residues as a tuple of Python ints."""
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self._arr.tolist()))
+        return self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyVec is immutable; cannot assign {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.domain, self.ctx) == (other.domain, other.ctx)
+                and np.array_equal(self._arr, other._arr))
+
+    def __repr__(self):
+        return f"PolyVec(values={self.values!r}, domain={self.domain!r}, ctx={self.ctx!r})"
+
+
+def _int_array(values) -> np.ndarray:
+    """Integers of any size as a 1-D object array of Python ints."""
+    return np.fromiter(map(int, values), dtype=object)
+
+
+def _reduce(ints: np.ndarray, ctx: RingContext, domain: Domain = Domain.COEFFICIENT) -> PolyVec:
+    """Wrap an object array of integers, reduced mod ctx.q."""
+    if ints.size != ctx.m:
+        raise ValueError(f"expected {ctx.m} residues, got {ints.size}")
+    return PolyVec._trusted(np.remainder(ints, ctx.q).astype(ctx._dtype, copy=False),
+                            domain, ctx)
 
 
 def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContext:
@@ -239,13 +289,13 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
 
 
 # ---------------------------------------------------------------------------
-# Transform kernels, in place on a flat residue array of the context's dtype.
-# A butterfly stage is a handful of numpy operations over a reshaped view
-# that covers every block at once.  Sums stay below 2q (a - b is formed as
-# a + (q - b), so uint64 never goes negative) and are folded back by one
-# conditional subtraction (a remainder for Python ints); products of two
-# residues are reduced with %.
-# Counter increments are batched per stage but tally exactly one mul per
+# Transform kernels, on residue arrays of the context's dtype.  A butterfly
+# stage is a handful of numpy operations over a reshaped view that covers
+# every block at once.  Sums stay below 2q (a - b is formed as a + (q - b),
+# so uint64 never goes negative) and are folded back by one conditional
+# subtraction (a remainder for Python ints); products of two residues are
+# reduced with %.
+# Counter increments are batched per transform but tally exactly one mul per
 # performed modular multiplication.
 
 def _fold(x: np.ndarray, q: int, out: np.ndarray):
@@ -274,53 +324,142 @@ def _butterflies(a: np.ndarray, tmp: np.ndarray, shape: tuple, q: int):
     _fold(tmp, q, a)
 
 
-def _ntt(a: np.ndarray, ctx: RingContext):
-    """Forward negacyclic NTT of every length-m_cyclo block of a
-    (Cooley-Tukey: twist the odd half, then butterfly)."""
-    q, mc, cnt = ctx.q, ctx.m_cyclo, ctx.counter
-    blocks, tmp = a.size // mc, np.empty_like(a)
-    t, lvl = mc, 1
-    while lvl < mc:
-        t >>= 1
-        shape = (blocks, lvl, 2, t)
-        _scale(a.reshape(shape)[:, :, 1], ctx._fwd[lvl:2 * lvl, None], q)
-        _butterflies(a, tmp, shape, q)
-        cnt.muls += a.size // 2
-        cnt.adds += a.size
-        lvl <<= 1
+# A transform runs from a plan of passes over the flat residue array, built
+# once per context and direction.  A pass that butterflies index bit b
+# views the array as (rows, 2, cols), rows = 2^(bits stored above b), and
+# numpy pays a fixed cost per row: a pass is fast only when few bits sit
+# above its pair bit.  So each pass picks a layout, the natural index
+# rotated so that its low `rot` bits lead; moving between layouts is one
+# transposing copy.  A phase (the NTT stages, the Hadamard axes) whose
+# deepest pair bit would have more than 2^_MAX_DEPTH rows in natural order
+# runs its later passes in a rotated layout, switching where the deepest
+# pair bits before and after the switch are about equally deep.  On
+# smaller rings the transposes cost about what they save.
+_MAX_DEPTH = 5
 
 
-def _intt(a: np.ndarray, ctx: RingContext):
-    """Unscaled inverse of _ntt on every block, m_cyclo times the inverse
-    (Gentleman-Sande: butterfly, then twist the odd half)."""
-    q, mc, cnt = ctx.q, ctx.m_cyclo, ctx.counter
-    blocks, tmp = a.size // mc, np.empty_like(a)
-    t, lvl = 1, mc >> 1
-    while lvl >= 1:
-        shape = (blocks, lvl, 2, t)
-        _butterflies(a, tmp, shape, q)
-        _scale(a.reshape(shape)[:, :, 1], ctx._inv[lvl:2 * lvl, None], q)
-        cnt.muls += a.size // 2
-        cnt.adds += a.size
-        t <<= 1
-        lvl >>= 1
+class _Step(NamedTuple):
+    """One pass in layout `rot`, on the array viewed as `shape`: butterflies
+    across the (rows, 2, cols) view `bfly` (None: no butterflies), and a
+    multiplication of the odd half `view[odd]` (the whole view without
+    butterflies) by the broadcasting view `factors` of a context table,
+    before the butterflies when `twist_first`, else after."""
+
+    rot: int
+    shape: tuple
+    odd: tuple
+    bfly: Optional[tuple]
+    factors: Optional[np.ndarray]
+    twist_first: bool
 
 
-def _hadamard(a: np.ndarray, ctx: RingContext, block: int):
-    # sign-only butterflies across the quadratic axes; block = entries that
-    # share one quadratic mask (1 standalone, m_cyclo in the hybrid layout)
+class _Plan(NamedTuple):
+    nbits: int
+    steps: tuple
+    muls: int
+    adds: int
+
+
+def _step(nbits: int, rot: int, pair: Optional[int] = None, gbits=(0, 0),
+          factors: Optional[np.ndarray] = None, twist_first: bool = True) -> _Step:
+    """The pass pairing natural index bit `pair` and multiplying by
+    factors[g], g the value of index bits gbits[0] <= b < gbits[1].
+
+    The array gets one axis per run of layout-adjacent bits that play the
+    same part, so that the factor table, reshaped by its own bit runs and
+    transposed into layout order, broadcasts as a view, never a copy.
+    """
+    runs = []  # [part, bit count, lowest natural bit], leading bits first
+    for b in [*range(rot - 1, -1, -1), *range(nbits - 1, rot - 1, -1)]:
+        part = "pair" if b == pair else "g" if gbits[0] <= b < gbits[1] else "other"
+        last = runs[-1] if runs else None
+        if last and last[0] == part != "pair" and (part == "other" or last[2] == b + 1):
+            last[1] += 1
+            last[2] = b
+        else:
+            runs.append([part, 1, b])
+    shape = tuple(1 << n for _, n, _ in runs)
+    odd, bfly = (), None
+    if pair is not None:
+        p = next(i for i, run in enumerate(runs) if run[0] == "pair")
+        odd = (slice(None),) * p + (1, ...)
+        bfly = (math.prod(shape[:p]), 2, math.prod(shape[p + 1:]))
+    if factors is not None:
+        g_runs = [run for run in runs if run[0] == "g"]
+        by_bit = sorted(g_runs, key=lambda run: -run[2])
+        factors = factors.reshape([1 << run[1] for run in by_bit])
+        factors = factors.transpose([by_bit.index(run) for run in g_runs])
+        factors = factors[tuple(slice(None) if run[0] == "g" else None
+                                for run in runs if run[0] != "pair")]
+    return _Step(rot, shape, odd, bfly, factors, twist_first)
+
+
+def _build_plan(ctx: RingContext, forward: bool) -> _Plan:
+    """The negacyclic NTT (r = 0) or the hybrid transform (NTT stages in
+    every block, the block diagonal, Hadamard butterflies across blocks),
+    or their inverse in reverse order, without the NTT's final 1/m scaling.
+
+    NTT stage s pairs cyclotomic bit u-1-s, below the r block bits and s
+    cyclotomic bits in natural order, and twists its odd half by
+    table[2^s + g], g the value of those s bits.  From stage `split` on,
+    the low u - split cyclotomic bits lead (split = 0, the blocks
+    innermost, once 2^r >= m_cyclo).  Hadamard axis i pairs bit u+i, below
+    r-1-i block bits; its first h axes run with bits up to u+h-1 leading.
+    """
+    u, r = ctx.log_mc, ctx.r
+    nbits, m = u + r, ctx.m
+    table = ctx._fwd if forward else ctx._inv
+    split = u if r + u - 1 <= _MAX_DEPTH else max(0, (u - r + 1) // 2)
+    h = r // 2 if r - 1 > _MAX_DEPTH else 0
+    ntt = [_step(nbits, 0 if s < split else u - split, u - 1 - s, (u - s, u),
+                 table[1 << s:2 << s], forward) for s in range(u)]
+    hadamard = [_step(nbits, u + h if i < h else 0, u + i) for i in range(r)]
+    diag = []
+    if r:
+        diag = [_step(nbits, ntt[-1 if forward else 0].rot, None, (u, nbits),
+                      ctx._diag if forward else ctx._hybrid_idiag)]
+    steps = ntt + diag + hadamard if forward else hadamard + ntt[::-1] + diag
+    return _Plan(nbits, tuple(steps), u * (m // 2) + len(diag) * m, (u + r) * m)
+
+
+def _rotate(src: np.ndarray, d: int, nbits: int, out: np.ndarray):
+    """out = src with its last d index bits moved to the front."""
+    np.copyto(out.reshape(1 << d, 1 << (nbits - d)), src.reshape(1 << (nbits - d), 1 << d).T)
+
+
+def _run(plan: _Plan, x: np.ndarray, ctx: RingContext) -> np.ndarray:
+    """A new natural-order array: the plan applied to x, which is left as is.
+    Works in two buffers, the array and the butterflies' scratch, which
+    trade places at each change of layout."""
+    q, nbits = ctx.q, plan.nbits
+    a, tmp = np.empty_like(x), np.empty_like(x)
+    rot = plan.steps[0].rot
+    _rotate(x, rot, nbits, a)
+    for st in plan.steps:
+        if st.rot != rot:
+            _rotate(a, (st.rot - rot) % nbits, nbits, tmp)
+            a, tmp, rot = tmp, a, st.rot
+        odd = a.reshape(st.shape)[st.odd]
+        if st.factors is not None and st.twist_first:
+            _scale(odd, st.factors, q)
+        if st.bfly is not None:
+            _butterflies(a, tmp, st.bfly, q)
+        if st.factors is not None and not st.twist_first:
+            _scale(odd, st.factors, q)
+    ctx.counter.muls += plan.muls
+    ctx.counter.adds += plan.adds
+    if rot:
+        _rotate(a, nbits - rot, nbits, tmp)
+        a = tmp
+    return a
+
+
+def _hadamard(a: np.ndarray, ctx: RingContext):
+    """Sign-only butterflies across the quadratic axes of a WHT context."""
     tmp = np.empty_like(a)
     for i in range(ctx.r):
-        _butterflies(a, tmp, (-1, 2, block << i), ctx.q)
+        _butterflies(a, tmp, (-1, 2, 1 << i), ctx.q)
     ctx.counter.adds += ctx.r * a.size
-
-
-def _array(a: PolyVec) -> np.ndarray:
-    return np.fromiter(a.values, dtype=a.ctx._dtype, count=len(a.values))
-
-
-def _result(a: np.ndarray, domain: Domain, ctx: RingContext) -> PolyVec:
-    return PolyVec._trusted(tuple(a.tolist()), domain, ctx)
 
 
 def _require(a: PolyVec, domain: Domain):
@@ -348,9 +487,8 @@ def ntt_forward(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_cyclo(ctx)
     _require(a, Domain.COEFFICIENT)
-    vals = _array(a)
-    _ntt(vals, ctx)
-    return _result(vals, Domain.EVALUATION, ctx)
+    vals = _run(ctx._plan(True), a._arr, ctx)
+    return PolyVec._trusted(vals, Domain.EVALUATION, ctx)
 
 
 def ntt_inverse(a: PolyVec) -> PolyVec:
@@ -359,11 +497,10 @@ def ntt_inverse(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_cyclo(ctx)
     _require(a, Domain.EVALUATION)
-    vals = _array(a)
-    _intt(vals, ctx)
+    vals = _run(ctx._plan(False), a._arr, ctx)
     _scale(vals, ctx._mc_inv, ctx.q)
     ctx.counter.muls += ctx.m
-    return _result(vals, Domain.COEFFICIENT, ctx)
+    return PolyVec._trusted(vals, Domain.COEFFICIENT, ctx)
 
 
 def wht_forward(a: PolyVec) -> PolyVec:
@@ -374,11 +511,11 @@ def wht_forward(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_quad(ctx)
     _require(a, Domain.COEFFICIENT)
-    vals = _array(a)
+    vals = a._arr.copy()
     _scale(vals[1:], ctx._diag[1:], ctx.q)
     ctx.counter.muls += vals.size - 1
-    _hadamard(vals, ctx, 1)
-    return _result(vals, Domain.EVALUATION, ctx)
+    _hadamard(vals, ctx)
+    return PolyVec._trusted(vals, Domain.EVALUATION, ctx)
 
 
 def wht_inverse(a: PolyVec) -> PolyVec:
@@ -387,11 +524,11 @@ def wht_inverse(a: PolyVec) -> PolyVec:
     ctx = a.ctx
     _pure_quad(ctx)
     _require(a, Domain.EVALUATION)
-    vals = _array(a)
-    _hadamard(vals, ctx, 1)
+    vals = a._arr.copy()
+    _hadamard(vals, ctx)
     _scale(vals, ctx._idiag, ctx.q)
     ctx.counter.muls += vals.size
-    return _result(vals, Domain.COEFFICIENT, ctx)
+    return PolyVec._trusted(vals, Domain.COEFFICIENT, ctx)
 
 
 def hybrid_forward(a: PolyVec) -> PolyVec:
@@ -403,12 +540,8 @@ def hybrid_forward(a: PolyVec) -> PolyVec:
     if ctx.r == 0 or ctx.m_cyclo < 2:
         raise ValueError("degenerate tensor: use ntt_forward or wht_forward directly")
     _require(a, Domain.COEFFICIENT)
-    vals = _array(a)
-    _ntt(vals, ctx)
-    _scale(vals.reshape(-1, ctx.m_cyclo), ctx._diag[:, None], ctx.q)
-    ctx.counter.muls += ctx.m
-    _hadamard(vals, ctx, ctx.m_cyclo)
-    return _result(vals, Domain.EVALUATION, ctx)
+    vals = _run(ctx._plan(True), a._arr, ctx)
+    return PolyVec._trusted(vals, Domain.EVALUATION, ctx)
 
 
 def hybrid_inverse(a: PolyVec) -> PolyVec:
@@ -419,12 +552,8 @@ def hybrid_inverse(a: PolyVec) -> PolyVec:
     if ctx.r == 0 or ctx.m_cyclo < 2:
         raise ValueError("degenerate tensor: use ntt_inverse or wht_inverse directly")
     _require(a, Domain.EVALUATION)
-    vals = _array(a)
-    _hadamard(vals, ctx, ctx.m_cyclo)
-    _intt(vals, ctx)
-    _scale(vals.reshape(-1, ctx.m_cyclo), ctx._hybrid_idiag[:, None], ctx.q)
-    ctx.counter.muls += ctx.m
-    return _result(vals, Domain.COEFFICIENT, ctx)
+    vals = _run(ctx._plan(False), a._arr, ctx)
+    return PolyVec._trusted(vals, Domain.COEFFICIENT, ctx)
 
 
 def pointwise_mul(a: PolyVec, b: PolyVec) -> PolyVec:
@@ -434,10 +563,10 @@ def pointwise_mul(a: PolyVec, b: PolyVec) -> PolyVec:
         raise ValueError("operands from different contexts")
     _require(a, Domain.EVALUATION)
     _require(b, Domain.EVALUATION)
-    vals = _array(a)
-    _scale(vals, _array(b), a.ctx.q)
+    vals = np.multiply(a._arr, b._arr)
+    np.remainder(vals, a.ctx.q, out=vals)
     a.ctx.counter.muls += a.ctx.m
-    return _result(vals, Domain.EVALUATION, a.ctx)
+    return PolyVec._trusted(vals, Domain.EVALUATION, a.ctx)
 
 
 def schoolbook_mul(a: PolyVec, b: PolyVec) -> PolyVec:
@@ -508,8 +637,8 @@ def make_rns_context(moduli: Sequence[int], m_cyclo: int,
 
 def rns_decompose(coeffs: Sequence[int], rns: RnsContext) -> List[PolyVec]:
     """Reduce arbitrary-precision coefficients into one PolyVec per modulus."""
-    coeffs = [int(c) for c in coeffs]
-    return [ctx.poly(coeffs) for ctx in rns.contexts]
+    ints = _int_array(coeffs)
+    return [_reduce(ints, ctx) for ctx in rns.contexts]
 
 
 def rns_reconstruct(parts: Sequence[PolyVec], rns: RnsContext) -> List[int]:
@@ -528,11 +657,5 @@ def rns_reconstruct(parts: Sequence[PolyVec], rns: RnsContext) -> List[int]:
         qi = ctx.q
         rest = big_q // qi
         basis.append(rest * pow(rest % qi, qi - 2, qi))
-    m = rns.contexts[0].m
-    out = []
-    for j in range(m):
-        acc = 0
-        for part, b in zip(parts, basis):
-            acc += part.values[j] * b
-        out.append(acc % big_q)
-    return out
+    acc = sum(part._arr.astype(object) * b for part, b in zip(parts, basis))
+    return np.remainder(acc, big_q).tolist()

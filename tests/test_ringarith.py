@@ -4,6 +4,7 @@ families, multiplication counting, the schoolbook oracle, and the RNS layer.
 The schoolbook path is the oracle for every transform-based product; counts
 are asserted as exact integers against the closed forms.
 """
+import math
 import random
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringcond import _checks
 from ringcond import ringarith as ra
+from ringcond.numtheory import factorize
 
 
 def ctx_cyclo(q=97, m=8):
@@ -465,3 +468,238 @@ def test_pointwise_counts_one_mul_per_slot():
     ra.pointwise_mul(f, f)
     assert ctx.counter.muls == 8
     assert ctx.counter.adds == 0
+
+
+# ---------------------------------------------------------------------------
+# PolyVec: a read-only residue array, with .values as a tuple of Python ints
+
+
+@pytest.mark.parametrize("q", [12289, Q_OBJECT], ids=["uint64", "object"])
+@pytest.mark.parametrize("mc, ds", [(16, ()), (1, (2, 3, 5)), (8, (2, 3))],
+                         ids=["ntt", "wht", "hybrid"])
+def test_polyvec_array_contract(q, mc, ds):
+    ctx = ra.make_context(q, mc, ds)
+    fwd, inv = _transform_pair(ctx)
+    rng = random.Random(21)
+    a, b = rand_poly(ctx, rng), rand_poly(ctx, rng)
+    fa, fb = fwd(a), fwd(b)
+    inputs = [(p, p._arr.copy()) for p in (a, b, fa, fb)]
+    prod = ra.pointwise_mul(fa, fb)
+    back = inv(prod)
+    direct = ra.PolyVec(back.values, ra.Domain.COEFFICIENT, ctx)
+    fwd(a), inv(fa)
+    # no transform or product changed its input
+    for p, snapshot in inputs:
+        assert np.array_equal(p._arr, snapshot)
+        assert p.values == tuple(snapshot.tolist())
+    for p in (a, fa, prod, back, direct):
+        assert type(p.values) is tuple and all(type(v) is int for v in p.values)
+        assert p._arr.dtype == ctx._fwd.dtype and not p._arr.flags.writeable
+        with pytest.raises(ValueError):
+            p._arr[0] = 0
+        with pytest.raises(AttributeError):
+            p.domain = ra.Domain.EVALUATION
+    # equality compares residues, domain and context, as the dataclass did
+    assert direct == back and direct == ctx.poly(list(back.values))
+    assert inv(fa) == a and a != fa and a != b
+    assert a != ra.PolyVec(a.values, ra.Domain.EVALUATION, ctx)
+    assert a != ra.make_context(q, mc, ds).poly(a.values)
+    assert (a == a.values) is False
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+# ---------------------------------------------------------------------------
+# stage plans against the natural-layout kernels they replaced
+
+
+def _ref_fold(x, q, out):
+    if x.dtype == object:
+        np.remainder(x, q, out=out)
+    else:
+        np.subtract(x, q, out=out)
+        np.minimum(x, out, out=out)
+
+
+def _ref_scale(a, d, q):
+    np.multiply(a, d, out=a)
+    np.remainder(a, q, out=a)
+
+
+def _ref_butterflies(a, tmp, shape, q):
+    view, s = a.reshape(shape), tmp.reshape(shape)
+    v = view[..., 1, :]
+    np.copyto(s[..., 0, :], v)
+    np.subtract(q, v, out=s[..., 1, :])
+    np.add(s, view[..., :1, :], out=s)
+    _ref_fold(tmp, q, a)
+
+
+def _ref_ntt(a, ctx):
+    q, mc = ctx.q, ctx.m_cyclo
+    blocks, tmp = a.size // mc, np.empty_like(a)
+    t, lvl = mc, 1
+    while lvl < mc:
+        t >>= 1
+        shape = (blocks, lvl, 2, t)
+        _ref_scale(a.reshape(shape)[:, :, 1], ctx._fwd[lvl:2 * lvl, None], q)
+        _ref_butterflies(a, tmp, shape, q)
+        lvl <<= 1
+
+
+def _ref_intt(a, ctx):
+    q, mc = ctx.q, ctx.m_cyclo
+    blocks, tmp = a.size // mc, np.empty_like(a)
+    t, lvl = 1, mc >> 1
+    while lvl >= 1:
+        shape = (blocks, lvl, 2, t)
+        _ref_butterflies(a, tmp, shape, q)
+        _ref_scale(a.reshape(shape)[:, :, 1], ctx._inv[lvl:2 * lvl, None], q)
+        t <<= 1
+        lvl >>= 1
+
+
+def _ref_hadamard(a, ctx):
+    tmp = np.empty_like(a)
+    for i in range(ctx.r):
+        _ref_butterflies(a, tmp, (-1, 2, ctx.m_cyclo << i), ctx.q)
+
+
+def _ref_forward(x, ctx):
+    a = x.copy()
+    _ref_ntt(a, ctx)
+    if ctx.r:
+        _ref_scale(a.reshape(-1, ctx.m_cyclo), ctx._diag[:, None], ctx.q)
+        _ref_hadamard(a, ctx)
+    return a
+
+
+def _ref_inverse(x, ctx):
+    a = x.copy()
+    _ref_hadamard(a, ctx)
+    _ref_intt(a, ctx)
+    if ctx.r:
+        _ref_scale(a.reshape(-1, ctx.m_cyclo), ctx._hybrid_idiag[:, None], ctx.q)
+    else:
+        _ref_scale(a, ctx._mc_inv, ctx.q)
+    return a
+
+
+# q = 3 * 2^30 + 1 runs in uint64, the 62-bit q = 1 + 8796093022 * 2^18 in
+# Python ints; both support every m_cyclo up to 2^17.
+Q_U64_2POW30 = 3221225473
+Q_OBJECT_2POW18 = 2305843009218936833
+
+
+def _residue_ds(q, r):
+    """The first r squarefree integers >= 2 that are squares mod q."""
+    out, d = [], 2
+    while len(out) < r:
+        if (all(e == 1 for _, e in factorize(d).factors)
+                and pow(d, (q - 1) // 2, q) == 1):
+            out.append(d)
+        d += 1
+    return tuple(out)
+
+
+def _plan_shapes():
+    for q, cap in ((Q_U64_2POW30, 1 << 16), (Q_OBJECT_2POW18, 1 << 10)):
+        for blocks in (1, 2, 64, 4096):
+            mc = 2
+            while mc * blocks <= cap:
+                yield pytest.param(q, mc, blocks, id=f"{q.bit_length()}bit-mc{mc}-b{blocks}")
+                mc <<= 1
+
+
+@pytest.mark.parametrize("q, mc, blocks", list(_plan_shapes()))
+def test_stage_plans_match_natural_layout_kernels(q, mc, blocks):
+    ctx = ra.make_context(q, mc, _residue_ds(q, blocks.bit_length() - 1))
+    fwd, inv = _transform_pair(ctx)
+    want_fwd, want_inv = _closed_counts(ctx)
+    rng = np.random.default_rng(mc * blocks)
+    x = rng.integers(0, q, ctx.m, dtype=np.uint64).astype(ctx._fwd.dtype)
+    x[:2] = q - 1
+    a = ctx.poly(x.tolist())
+    ctx.reset_counter()
+    fa = fwd(a)
+    assert ra.count_report(ctx) == want_fwd
+    assert np.array_equal(fa._arr, _ref_forward(x, ctx))
+    ctx.reset_counter()
+    back = inv(fa)
+    assert ra.count_report(ctx) == want_inv
+    assert np.array_equal(back._arr, _ref_inverse(fa._arr, ctx))
+    assert np.array_equal(back._arr, x)
+
+
+def test_ntt_65536_against_direct_evaluation():
+    # independent of both kernels: entry i is a(psi^(2 bitrev(i) + 1))
+    q, m = Q_U64_2POW30, 1 << 16
+    ctx = ra.make_context(q, m)
+    rng = random.Random(17)
+    a = rand_poly(ctx, rng)
+    out = ra.ntt_forward(a)
+    coeffs = a.values[::-1]
+    for i in rng.sample(range(m), 16):
+        x = pow(ctx.psi, 2 * ra._bitrev(i, 16) + 1, q)
+        want = 0
+        for c in coeffs:
+            want = (want * x + c) % q
+        assert out.values[i] == want, i
+
+
+# ---------------------------------------------------------------------------
+# fault injection: the plans read the live context tables
+
+
+def _roundtrip_failures(ctx):
+    return _checks.check_transform_roundtrips(trials=2, ctx=ctx)
+
+
+@pytest.mark.parametrize("mc, ds", [(8, ()), (256, ()), (4, (2, 3)), (16, (2, 3, 5, 7, 11, 13))],
+                         ids=["ntt8", "ntt256", "hybrid4x4", "hybrid16x64"])
+def test_roundtrip_detects_corrupted_inverse_twiddle(mc, ds):
+    ctx = ra.make_context(Q_U64_2POW30, mc, _residue_ds(Q_U64_2POW30, len(ds)))
+    assert not _roundtrip_failures(ctx)  # builds and uses the plans first
+    ctx._inv[mc - 1] = ctx._inv[mc - 1] * 3 % ctx.q
+    assert _roundtrip_failures(ctx)
+
+
+@pytest.mark.parametrize("mc, r", [(256, 0), (1024, 0), (16, 6), (16, 7)])
+def test_roundtrip_detects_corrupted_late_stage_twiddle(mc, r):
+    # index >= sqrt(m_cyclo): only stages in a rotated layout read it
+    ctx = ra.make_context(Q_U64_2POW30, mc, _residue_ds(Q_U64_2POW30, r))
+    assert not _roundtrip_failures(ctx)
+    steps = ctx._plan(True).steps
+    assert any(st.rot for st in steps)
+    i = mc - 2
+    assert i >= math.isqrt(mc)
+    ctx._fwd[i] = ctx._fwd[i] * 5 % ctx.q
+    assert _roundtrip_failures(ctx)
+
+
+def test_plans_hold_views_of_context_tables():
+    for mc, ds in ((4096, ()), (16, _residue_ds(12289, 7)), (64, (2, 3, 5))):
+        ctx = ra.make_context(12289 if mc <= 64 else Q_U64_2POW30, mc, ds)
+        for forward, tables in ((True, (ctx._fwd, ctx._diag)),
+                                (False, (ctx._inv, ctx._hybrid_idiag))):
+            steps = ctx._plan(forward).steps
+            assert len({st.rot for st in steps}) > 1
+            for st in steps:
+                if st.factors is not None:
+                    assert any(np.shares_memory(st.factors, t) for t in tables)
+                    assert st.factors.size <= max(t.size for t in tables)
+
+
+def test_rns_layer_mixed_dtypes_returns_python_ints():
+    # a 62-bit limb computes in Python ints, the others in uint64
+    rns = ra.make_rns_context((97, 12289, Q_OBJECT), 4, (2,))
+    rng = random.Random(19)
+    coeffs = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(8)]
+    parts = ra.rns_decompose(coeffs, rns)
+    for part, q in zip(parts, rns.moduli):
+        assert part.values == tuple(c % q for c in coeffs)
+    back = ra.rns_reconstruct(parts, rns)
+    assert back == [c % rns.modulus_product for c in coeffs]
+    assert all(type(v) is int for v in back)
+    with pytest.raises(ValueError):
+        ra.rns_decompose(coeffs[:7], rns)
