@@ -105,17 +105,19 @@ def check_factored_cond(n_max: int = 100, phi_cap: int = 64,
 # modulus compute in Python ints, the ones at 12289 in uint64.
 _Q_WIDE = 4611686018427379201
 # Rings large enough for the transform plans to switch layouts: a 4096-point
-# NTT (split at its middle stage, q = 5 * 2^13 + 1) and a 16 x 2^7 hybrid
-# (block axis innermost, Hadamard axes in two layouts; squares mod 12289).
+# NTT (split at its middle stage, q = 5 * 2^13 + 1), a 16 x 2^7 hybrid
+# (block axis innermost, Hadamard axes in two layouts; squares mod 12289)
+# and the 2^7-point WHT on the same d (Hadamard axes in two layouts).
 _SPLIT_NTT = (40961, 4096, ())
 _SPLIT_HYBRID = (12289, 16, (2, 3, 5, 7, 13, 17, 29))
+_SPLIT_WHT = (12289, 1, _SPLIT_HYBRID[2])
 
 
 def check_transform_roundtrips(trials: int = 5, size_cap: int = 64,
                                ctx: Optional[ringarith.RingContext] = None,
                                seed: int = 20240811) -> List[str]:
-    """Exact inverse(forward(a)) = a for all three families, at both kernel
-    dtypes.
+    """Exact inverse(forward(a)) = a for all three ring shapes, at both
+    kernel dtypes.
 
     An explicit ctx (possibly with deliberately corrupted tables) overrides
     the built-in configurations; fault-injection tests rely on that hook.
@@ -123,35 +125,23 @@ def check_transform_roundtrips(trials: int = 5, size_cap: int = 64,
     rng = random.Random(seed)
     out = []
 
-    def roundtrip(c, fwd, inv, label):
+    def roundtrip(c):
         for _ in range(trials):
             a = c.poly([rng.randrange(c.q) for _ in range(c.m)])
-            if inv(fwd(a)).values != a.values:
-                out.append(f"{label} round-trip failed at q={c.q}, m_cyclo={c.m_cyclo}, r={c.r}")
+            if ringarith.inverse(ringarith.forward(a)) != a:
+                out.append(f"{ringarith.family(c)} round-trip failed at q={c.q}, "
+                           f"m_cyclo={c.m_cyclo}, r={c.r}")
                 return
 
     if ctx is not None:
-        if ctx.r == 0:
-            roundtrip(ctx, ringarith.ntt_forward, ringarith.ntt_inverse, "ntt")
-        elif ctx.m_cyclo == 1:
-            roundtrip(ctx, ringarith.wht_forward, ringarith.wht_inverse, "wht")
-        else:
-            roundtrip(ctx, ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
+        roundtrip(ctx)
         return out
 
-    for mc in (2, 8, min(64, size_cap)):
-        roundtrip(ringarith.make_context(12289, mc, []),
-                  ringarith.ntt_forward, ringarith.ntt_inverse, "ntt")
-    for ds in ((2,), (2, 3, 5)):
-        roundtrip(ringarith.make_context(12289, 1, ds),
-                  ringarith.wht_forward, ringarith.wht_inverse, "wht")
-    for q in (12289, _Q_WIDE):
-        roundtrip(ringarith.make_context(q, min(8, size_cap), (2, 3)),
-                  ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
-    roundtrip(ringarith.make_context(*_SPLIT_NTT),
-              ringarith.ntt_forward, ringarith.ntt_inverse, "ntt")
-    roundtrip(ringarith.make_context(*_SPLIT_HYBRID),
-              ringarith.hybrid_forward, ringarith.hybrid_inverse, "hybrid")
+    configs = [(12289, mc, ()) for mc in (2, 8, min(64, size_cap))]
+    configs += [(12289, 1, ds) for ds in ((2,), (2, 3, 5))]
+    configs += [(q, min(8, size_cap), (2, 3)) for q in (12289, _Q_WIDE)]
+    for config in configs + [_SPLIT_NTT, _SPLIT_HYBRID, _SPLIT_WHT]:
+        roundtrip(ringarith.make_context(*config))
     return out
 
 
@@ -161,37 +151,31 @@ def check_transform_homomorphism(trials: int = 10, size_cap: int = 64,
     both kernel dtypes."""
     rng = random.Random(seed)
     out = []
+    fwd, inv, mul = ringarith.forward, ringarith.inverse, ringarith.pointwise_mul
     configs = [(12289, 8, ()), (12289, min(16, size_cap), ()),
                (12289, 1, (2, 3, 5)), (12289, 4, (2, 3)), (_Q_WIDE, 4, (2, 3))]
     if size_cap >= 128:
         configs += [(12289, 128, ()), (12289, 16, (2, 3, 5))]
     for q, mc, ds in configs:
         c = ringarith.make_context(q, mc, ds)
-        if c.r == 0:
-            fwd, inv = ringarith.ntt_forward, ringarith.ntt_inverse
-        elif c.m_cyclo == 1:
-            fwd, inv = ringarith.wht_forward, ringarith.wht_inverse
-        else:
-            fwd, inv = ringarith.hybrid_forward, ringarith.hybrid_inverse
         for _ in range(trials):
             a = c.poly([rng.randrange(q) for _ in range(c.m)])
             b = c.poly([rng.randrange(q) for _ in range(c.m)])
-            via = inv(ringarith.pointwise_mul(fwd(a), fwd(b)))
-            if via.values != ringarith.schoolbook_mul(a, b).values:
-                out.append(f"homomorphism failed at q={q}, m_cyclo={mc}, d={ds}")
+            if inv(mul(fwd(a), fwd(b))) != ringarith.schoolbook_mul(a, b):
+                out.append(f"{ringarith.family(c)} homomorphism failed at q={q}, "
+                           f"m_cyclo={mc}, d={ds}")
                 break
     # the split layouts, with a 4-term operand so that the schoolbook oracle
     # stays cheap at m = 4096
-    for (q, mc, ds), fwd, inv in (
-            (_SPLIT_NTT, ringarith.ntt_forward, ringarith.ntt_inverse),
-            (_SPLIT_HYBRID, ringarith.hybrid_forward, ringarith.hybrid_inverse)):
+    for q, mc, ds in (_SPLIT_NTT, _SPLIT_HYBRID, _SPLIT_WHT):
         c = ringarith.make_context(q, mc, ds)
         sparse = [0] * c.m
         for i in rng.sample(range(c.m), 4):
             sparse[i] = rng.randrange(1, q)
         a, b = c.poly(sparse), c.poly([rng.randrange(q) for _ in range(c.m)])
-        if inv(ringarith.pointwise_mul(fwd(a), fwd(b))) != ringarith.schoolbook_mul(a, b):
-            out.append(f"homomorphism failed at q={q}, m_cyclo={mc}, d={ds}")
+        if inv(mul(fwd(a), fwd(b))) != ringarith.schoolbook_mul(a, b):
+            out.append(f"{ringarith.family(c)} homomorphism failed at q={q}, "
+                       f"m_cyclo={mc}, d={ds}")
     return out
 
 
@@ -202,12 +186,12 @@ def check_operation_counts() -> List[str]:
         c = ringarith.make_context(12289, mc, [])
         a = c.poly(range(mc))
         c.reset_counter()
-        fa = ringarith.ntt_forward(a)
+        fa = ringarith.forward(a)
         lg = mc.bit_length() - 1
         if c.counter.muls != (mc // 2) * lg:
             out.append(f"ntt fwd count at m={mc}: {c.counter.muls} != {(mc // 2) * lg}")
         c.reset_counter()
-        ringarith.ntt_inverse(fa)
+        ringarith.inverse(fa)
         if c.counter.muls != (mc // 2) * lg + mc:
             out.append(f"ntt inv count at m={mc}: {c.counter.muls}")
     for r in (1, 3, 4):
@@ -215,25 +199,25 @@ def check_operation_counts() -> List[str]:
                                    if r != 1 else (2,))
         a = c.poly(range(1 << r))
         c.reset_counter()
-        fa = ringarith.wht_forward(a)
+        fa = ringarith.forward(a)
         if c.counter.muls != (1 << r) - 1:
             out.append(f"wht fwd count at r={r}: {c.counter.muls} != {(1 << r) - 1}")
         if c.counter.adds != r << r:
             out.append(f"wht fwd adds at r={r}: {c.counter.adds} != {r << r}")
         c.reset_counter()
-        ringarith.wht_inverse(fa)
+        ringarith.inverse(fa)
         if c.counter.muls != 1 << r:
             out.append(f"wht inv count at r={r}: {c.counter.muls} != {1 << r}")
     for mc, r in ((4, 2), (16, 3)):
         c = ringarith.make_context(12289, mc, tuple(first_primes(r, exclude=(11, 13))))
         a = c.poly(range(c.m))
         c.reset_counter()
-        fa = ringarith.hybrid_forward(a)
+        fa = ringarith.forward(a)
         want = (c.m // 2) * (mc.bit_length() - 1) + c.m
         if c.counter.muls != want:
             out.append(f"hybrid fwd count at ({mc},{r}): {c.counter.muls} != {want}")
         c.reset_counter()
-        ringarith.hybrid_inverse(fa)
+        ringarith.inverse(fa)
         if c.counter.muls != want:
             out.append(f"hybrid inv count at ({mc},{r}): {c.counter.muls} != {want}")
     return out
@@ -362,9 +346,9 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("twisted form vs numeric (n<=200)", check_twisted_forms),
     ("bound dominance (n<=200)", check_bound_dominance),
     ("factored vs dense condition numbers (n<=100)", check_factored_cond),
-    ("transform round-trips (m<=64, split layouts at m=4096, 2048)",
+    ("transform round-trips (m<=64, split layouts at m=4096, 2048, 128)",
      check_transform_roundtrips),
-    ("transform homomorphism (m<=64, split layouts at m=4096, 2048)",
+    ("transform homomorphism (m<=64, split layouts at m=4096, 2048, 128)",
      check_transform_homomorphism),
     ("operation counts", check_operation_counts),
     ("rns round-trip", check_rns_roundtrip),
@@ -380,7 +364,7 @@ FULL: List[Tuple[str, Callable[[], List[str]]]] = QUICK + [
      lambda: check_twisted_forms(2000, 512)),
     ("factored vs dense condition numbers (n<=300, both precisions)",
      lambda: check_factored_cond(300, 300, ("double", "extended"))),
-    ("transform homomorphism (m<=512, split layouts at m=4096, 2048)",
+    ("transform homomorphism (m<=512, split layouts at m=4096, 2048, 128)",
      lambda: check_transform_homomorphism(trials=5, size_cap=128)),
     ("derivative-denominator inequality (20 conductors)", check_dens_inequality),
     ("inverse-entry bound sweep (phi<=256)", check_inverse_entry_bound),

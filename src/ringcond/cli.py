@@ -176,13 +176,13 @@ BENCH_HEADER = ["m_cyclo", "r", "m_total", "q",
                 "ntt_swap_ms", "hybrid_swap_ms", "wall_ratio"]
 
 
-def _timed_swap(fwd, inv, poly, trials: int) -> float:
+def _timed_swap(poly, trials: int) -> float:
     samples = []
     for _ in range(trials):
         t0 = time.perf_counter()
-        back = inv(fwd(poly))
+        back = ringarith.inverse(ringarith.forward(poly))
         samples.append((time.perf_counter() - t0) * 1e3)
-        if back.values != poly.values:
+        if back != poly:
             raise AssertionError("swap round-trip violated during bench")
     return statistics.median(samples)
 
@@ -201,27 +201,24 @@ def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> 
     data = [rng.randrange(q) for _ in range(m_total)]
     base_poly = base_ctx.poly(data)
 
-    def measure(ctx, fwd, inv, poly):
+    def measure(ctx, poly):
         ctx.reset_counter()
-        f = fwd(poly)
+        f = ringarith.forward(poly)
         fwd_counts = (ctx.counter.muls, ctx.counter.adds)
         ctx.reset_counter()
-        inv(f)
+        ringarith.inverse(f)
         inv_counts = (ctx.counter.muls, ctx.counter.adds)
         ctx.reset_counter()
-        ms = _timed_swap(fwd, inv, poly, trials)
+        ms = _timed_swap(poly, trials)
         return fwd_counts, inv_counts, ms
 
     try:
-        base_f, base_i, base_ms = measure(
-            base_ctx, ringarith.ntt_forward, ringarith.ntt_inverse, base_poly)
+        base_f, base_i, base_ms = measure(base_ctx, base_poly)
         if r == 0:
             hyb_f, hyb_i, hyb_ms = base_f, base_i, base_ms
         else:
             hyb_ctx = ringarith.make_context(q, m_cyclo, quad_d)
-            hyb_poly = hyb_ctx.poly(data)
-            hyb_f, hyb_i, hyb_ms = measure(
-                hyb_ctx, ringarith.hybrid_forward, ringarith.hybrid_inverse, hyb_poly)
+            hyb_f, hyb_i, hyb_ms = measure(hyb_ctx, hyb_ctx.poly(data))
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -285,40 +282,39 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    linalg.set_precision(args.precision)
-
-    if args.command == "cond":
-        if args.omega == "any":
-            omega = None
-        else:
+    with linalg.precision(args.precision):  # for this call only
+        if args.command == "cond":
+            if args.omega == "any":
+                omega = None
+            else:
+                try:
+                    omega = int(args.omega)
+                except ValueError:
+                    parser.error(f"--omega must be an integer or 'any', got {args.omega!r}")
+                if not 1 <= omega <= 6:
+                    parser.error("--omega must lie in 1..6")
+            if args.max > args.limit:
+                parser.error(f"--max {args.max} exceeds the sweep limit {args.limit}; "
+                             f"raise --limit if intended")
             try:
-                omega = int(args.omega)
-            except ValueError:
-                parser.error(f"--omega must be an integer or 'any', got {args.omega!r}")
-            if not 1 <= omega <= 6:
-                parser.error("--omega must lie in 1..6")
-        if args.max > args.limit:
-            parser.error(f"--max {args.max} exceeds the sweep limit {args.limit}; "
-                         f"raise --limit if intended")
-        try:
-            config = SweepConfig(args.min, args.max, omega,
-                                 numeric_cap=args.numeric_cap, out_path=args.out)
-        except ValueError as exc:
-            parser.error(str(exc))
-        return cmd_cond(config)
+                config = SweepConfig(args.min, args.max, omega,
+                                     numeric_cap=args.numeric_cap, out_path=args.out)
+            except ValueError as exc:
+                parser.error(str(exc))
+            return cmd_cond(config)
 
-    if args.command == "bench":
-        if args.mcyclo < 2 or args.mcyclo & (args.mcyclo - 1):
-            parser.error("--mcyclo must be a power of two >= 2")
-        if args.r < 0:
-            parser.error("--r must be nonnegative")
-        if not 8 <= args.qbits <= 62:
-            parser.error("--qbits must lie in [8, 62]")
-        if args.trials < 1:
-            parser.error("--trials must be positive")
-        return cmd_bench(args.mcyclo, args.r, args.qbits, args.trials, args.out)
+        if args.command == "bench":
+            if args.mcyclo < 2 or args.mcyclo & (args.mcyclo - 1):
+                parser.error("--mcyclo must be a power of two >= 2")
+            if args.r < 0:
+                parser.error("--r must be nonnegative")
+            if not 8 <= args.qbits <= 62:
+                parser.error("--qbits must lie in [8, 62]")
+            if args.trials < 1:
+                parser.error("--trials must be positive")
+            return cmd_bench(args.mcyclo, args.r, args.qbits, args.trials, args.out)
 
-    return cmd_verify(args.full)
+        return cmd_verify(args.full)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
 """Exact modular polynomial arithmetic with instrumented operation counts.
 
-Three transform families over Z_q[x, t_1..t_r] / (x^{m_cyclo} + 1, t_i^2 - d_i):
+One transform, forward / inverse, over Z_q[x, t_1..t_r] / (x^{m_cyclo} + 1,
+t_i^2 - d_i): the tensor product of the negacyclic NTT on the power-of-two
+cyclotomic axis and the diagonal-scaled Walsh-Hadamard transform on the
+multiquadratic axes (the diagonal multiplies, the butterflies are
+sign-only).  Every ring shape runs the same plan of passes; the plain NTT
+(r = 0) and the WHT (m_cyclo = 1) are its degenerate shapes, and the scalar
+ring (m = 1) has no transform.  The family names ntt_*, wht_* and hybrid_*
+are guards: each checks that the context has its shape, then calls forward
+or inverse.
 
-  * negacyclic NTT for the power-of-two cyclotomic axis,
-  * diagonal-scaled Walsh-Hadamard transform for the multiquadratic axes
-    (linear multiplication count: only the diagonal multiplies, the
-    butterflies are sign-only),
-  * their tensor combination for the mixed ring,
-
-plus a quadratic-time schoolbook multiplier used as the correctness oracle
-and an RNS layer that CRT-splits big-integer coefficients across several
-ring-compatible primes.
+Alongside: a quadratic-time schoolbook multiplier used as the correctness
+oracle and an RNS layer that CRT-splits big-integer coefficients across
+several ring-compatible primes.
 
 The transforms are vectorized and exact.  Each context picks one numpy dtype
 for its tables and working arrays: uint64 when q < 2^32, where a product of
@@ -138,8 +140,8 @@ class RingContext:
         rev = _bitrev(np.arange(mc), self.log_mc)
         self._fwd = self._table(_powers(self.psi, mc, q))[rev]
         self._inv = self._table(_powers(pow(self.psi, q - 2, q), mc, q))[rev]
-        self._mc_inv = pow(mc, q - 2, q) if mc > 1 else 1
-        # diagonal tables over quadratic monomial masks
+        # diagonal tables over quadratic monomial masks; the inverse one
+        # folds in 1/m, so at r = 0 it is the NTT's single 1/m_cyclo
         diag = [1] * (1 << self.r)
         dprod = [1] * (1 << self.r)
         for i in range(self.r):
@@ -148,8 +150,6 @@ class RingContext:
                 dprod[e | (1 << i)] = dprod[e] * (self.quad_d[i] % q) % q
         self._diag = self._table(diag)
         self._dprod = dprod
-        inv2r = pow(1 << self.r, q - 2, q)
-        self._idiag = self._table(inv2r * pow(d, q - 2, q) % q for d in diag)
         invm = pow(self.m % q, q - 2, q)
         self._hybrid_idiag = self._table(invm * pow(d, q - 2, q) % q for d in diag)
         self._plans = {}
@@ -158,7 +158,7 @@ class RingContext:
         return np.array(list(residues), dtype=self._dtype)
 
     def _plan(self, forward: bool) -> "_Plan":
-        """The forward or inverse NTT / hybrid plan, built on first use; it
+        """The forward or inverse transform plan, built on first use; it
         holds views of the twiddle and diagonal tables."""
         if forward not in self._plans:
             self._plans[forward] = _build_plan(self, forward)
@@ -395,9 +395,12 @@ def _step(nbits: int, rot: int, pair: Optional[int] = None, gbits=(0, 0),
 
 
 def _build_plan(ctx: RingContext, forward: bool) -> _Plan:
-    """The negacyclic NTT (r = 0) or the hybrid transform (NTT stages in
-    every block, the block diagonal, Hadamard butterflies across blocks),
-    or their inverse in reverse order, without the NTT's final 1/m scaling.
+    """The tensor transform: u = log2 m_cyclo NTT stages in every block,
+    the block diagonal, r Hadamard axes across blocks; or their inverse in
+    reverse order, ending on the inverse diagonal, which folds in 1/m.  At
+    r = 0 (the plain NTT) the forward has no diagonal and the inverse one is
+    the single entry 1/m_cyclo; at u = 0 (the WHT) the diagonal takes the
+    layout of the Hadamard axis next to it.
 
     NTT stage s pairs cyclotomic bit u-1-s, below the r block bits and s
     cyclotomic bits in natural order, and twists its odd half by
@@ -414,12 +417,17 @@ def _build_plan(ctx: RingContext, forward: bool) -> _Plan:
     ntt = [_step(nbits, 0 if s < split else u - split, u - 1 - s, (u - s, u),
                  table[1 << s:2 << s], forward) for s in range(u)]
     hadamard = [_step(nbits, u + h if i < h else 0, u + i) for i in range(r)]
-    diag = []
-    if r:
-        diag = [_step(nbits, ntt[-1 if forward else 0].rot, None, (u, nbits),
-                      ctx._diag if forward else ctx._hybrid_idiag)]
-    steps = ntt + diag + hadamard if forward else hadamard + ntt[::-1] + diag
-    return _Plan(nbits, tuple(steps), u * (m // 2) + len(diag) * m, (u + r) * m)
+    if forward:
+        diag = [_step(nbits, (ntt[-1:] or hadamard)[0].rot, None, (u, nbits),
+                      ctx._diag)] if r else []
+        steps = ntt + diag + hadamard
+    else:
+        diag = [_step(nbits, (ntt[:1] or hadamard[-1:])[0].rot, None, (u, nbits),
+                      ctx._hybrid_idiag)]
+        steps = hadamard + ntt[::-1] + diag
+    # the WHT forward does not count its unit diagonal entry (e = 0)
+    muls = u * (m // 2) + len(diag) * m - (forward and not u)
+    return _Plan(nbits, tuple(steps), muls, (u + r) * m)
 
 
 def _rotate(src: np.ndarray, d: int, nbits: int, out: np.ndarray):
@@ -454,106 +462,84 @@ def _run(plan: _Plan, x: np.ndarray, ctx: RingContext) -> np.ndarray:
     return a
 
 
-def _hadamard(a: np.ndarray, ctx: RingContext):
-    """Sign-only butterflies across the quadratic axes of a WHT context."""
-    tmp = np.empty_like(a)
-    for i in range(ctx.r):
-        _butterflies(a, tmp, (-1, 2, 1 << i), ctx.q)
-    ctx.counter.adds += ctx.r * a.size
-
-
 def _require(a: PolyVec, domain: Domain):
     if a.domain != domain:
         raise DomainError(f"expected a {domain.value}-domain vector, got {a.domain.value}")
 
 
-def _pure_cyclo(ctx: RingContext):
-    if ctx.r:
-        raise ValueError("context has a multiquadratic part; use hybrid_forward")
-    if ctx.m_cyclo < 2:
-        raise ValueError("NTT needs m_cyclo >= 2")
+def family(ctx: RingContext) -> str:
+    """The degenerate shape ctx's transform has: "ntt" (r = 0), "wht"
+    (m_cyclo = 1) or "hybrid" (both axes).  The scalar ring, m = 1, has no
+    transform: ValueError."""
+    if ctx.m == 1:
+        raise ValueError("the scalar ring Z_q (m_cyclo = 1, r = 0) has no transform")
+    return "ntt" if ctx.r == 0 else "wht" if ctx.m_cyclo == 1 else "hybrid"
 
 
-def _pure_quad(ctx: RingContext):
-    if ctx.r == 0:
-        raise ValueError("context has no multiquadratic part")
-    if ctx.m_cyclo != 1:
-        raise ValueError("context has a cyclotomic part; use hybrid_forward")
+def forward(a: PolyVec) -> PolyVec:
+    """The tensor transform, coefficients -> evaluations.  Counted
+    multiplications: (m/2) log2 m for the NTT, 2^r - 1 for the WHT (its unit
+    diagonal entry is elided), (m/2) log2(m_cyclo) + m for the hybrid;
+    (log2 m_cyclo + r) m additions."""
+    ctx = a.ctx
+    family(ctx)  # the scalar ring has none
+    _require(a, Domain.COEFFICIENT)
+    return PolyVec._trusted(_run(ctx._plan(True), a._arr, ctx), Domain.EVALUATION, ctx)
+
+
+def inverse(a: PolyVec) -> PolyVec:
+    """The inverse transform, evaluations -> coefficients, ending on one
+    merged diagonal (m_cyclo 2^r prod s_i^{e_i})^{-1}.  Counted
+    multiplications: (m/2) log2(m_cyclo) + m on every shape (the WHT's m
+    includes its unit entry); (log2 m_cyclo + r) m additions."""
+    ctx = a.ctx
+    family(ctx)  # the scalar ring has none
+    _require(a, Domain.EVALUATION)
+    return PolyVec._trusted(_run(ctx._plan(False), a._arr, ctx), Domain.COEFFICIENT, ctx)
+
+
+def _expect(ctx: RingContext, want: str):
+    got = family(ctx)
+    if got != want:
+        raise ValueError(f"a {want} transform applied to a {got} context; use forward/inverse")
 
 
 def ntt_forward(a: PolyVec) -> PolyVec:
-    """Negacyclic NTT: coefficients -> evaluations at odd powers of psi,
-    (m/2) log2 m counted multiplications."""
-    ctx = a.ctx
-    _pure_cyclo(ctx)
-    _require(a, Domain.COEFFICIENT)
-    vals = _run(ctx._plan(True), a._arr, ctx)
-    return PolyVec._trusted(vals, Domain.EVALUATION, ctx)
+    """forward() on a pure cyclotomic ring: the negacyclic NTT, entry i the
+    evaluation at psi^(2 bitrev(i) + 1)."""
+    _expect(a.ctx, "ntt")
+    return forward(a)
 
 
 def ntt_inverse(a: PolyVec) -> PolyVec:
-    """Inverse NTT, (m/2) log2 m + m counted multiplications (the +m is the
-    final 1/m scaling)."""
-    ctx = a.ctx
-    _pure_cyclo(ctx)
-    _require(a, Domain.EVALUATION)
-    vals = _run(ctx._plan(False), a._arr, ctx)
-    _scale(vals, ctx._mc_inv, ctx.q)
-    ctx.counter.muls += ctx.m
-    return PolyVec._trusted(vals, Domain.COEFFICIENT, ctx)
+    """inverse() on a pure cyclotomic ring."""
+    _expect(a.ctx, "ntt")
+    return inverse(a)
 
 
 def wht_forward(a: PolyVec) -> PolyVec:
-    """Scaled Walsh-Hadamard transform: multiply coefficient e by
-    prod s_i^{e_i} (2^r - 1 counted multiplications; the unit e=0 factor is
-    elided), then sign-only butterflies (r 2^r additions, zero
-    multiplications)."""
-    ctx = a.ctx
-    _pure_quad(ctx)
-    _require(a, Domain.COEFFICIENT)
-    vals = a._arr.copy()
-    _scale(vals[1:], ctx._diag[1:], ctx.q)
-    ctx.counter.muls += vals.size - 1
-    _hadamard(vals, ctx)
-    return PolyVec._trusted(vals, Domain.EVALUATION, ctx)
+    """forward() on a pure multiquadratic ring: the scaled Walsh-Hadamard
+    transform."""
+    _expect(a.ctx, "wht")
+    return forward(a)
 
 
 def wht_inverse(a: PolyVec) -> PolyVec:
-    """Inverse: sign-only butterflies, then the merged diagonal
-    (2^r prod s_i^{e_i})^{-1}, exactly 2^r counted multiplications."""
-    ctx = a.ctx
-    _pure_quad(ctx)
-    _require(a, Domain.EVALUATION)
-    vals = a._arr.copy()
-    _hadamard(vals, ctx)
-    _scale(vals, ctx._idiag, ctx.q)
-    ctx.counter.muls += vals.size
-    return PolyVec._trusted(vals, Domain.COEFFICIENT, ctx)
+    """inverse() on a pure multiquadratic ring."""
+    _expect(a.ctx, "wht")
+    return inverse(a)
 
 
 def hybrid_forward(a: PolyVec) -> PolyVec:
-    """Tensor transform: NTT within each quadratic-mask block, then a full
-    diagonal (uniform m multiplications, unit factors included), then
-    sign-only butterflies across blocks.  Counted multiplications exactly
-    (m/2) log2(m_cyclo) + m."""
-    ctx = a.ctx
-    if ctx.r == 0 or ctx.m_cyclo < 2:
-        raise ValueError("degenerate tensor: use ntt_forward or wht_forward directly")
-    _require(a, Domain.COEFFICIENT)
-    vals = _run(ctx._plan(True), a._arr, ctx)
-    return PolyVec._trusted(vals, Domain.EVALUATION, ctx)
+    """forward() on a ring with both axes (m_cyclo >= 2, r >= 1)."""
+    _expect(a.ctx, "hybrid")
+    return forward(a)
 
 
 def hybrid_inverse(a: PolyVec) -> PolyVec:
-    """Inverse tensor transform, same multiplication count as the forward:
-    butterflies, unscaled inverse NTT per block, then one merged diagonal
-    (m_cyclo 2^r prod s_i^{e_i})^{-1}."""
-    ctx = a.ctx
-    if ctx.r == 0 or ctx.m_cyclo < 2:
-        raise ValueError("degenerate tensor: use ntt_inverse or wht_inverse directly")
-    _require(a, Domain.EVALUATION)
-    vals = _run(ctx._plan(False), a._arr, ctx)
-    return PolyVec._trusted(vals, Domain.COEFFICIENT, ctx)
+    """inverse() on a ring with both axes (m_cyclo >= 2, r >= 1)."""
+    _expect(a.ctx, "hybrid")
+    return inverse(a)
 
 
 def pointwise_mul(a: PolyVec, b: PolyVec) -> PolyVec:

@@ -34,12 +34,6 @@ from ringcond.linalg import invert, vandermonde, vandermonde_inverse_explicit
 from ringcond.numtheory import cyclotomic_poly, factorize, height, is_prime
 
 
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    yield
-    linalg.set_precision("double")
-
-
 def test_criterion_1_closed_formula_reproduction():
     # every n <= 2000 of the form p^k or 2^k p^l with phi(n) <= 512:
     # numeric cond of the power-basis matrix matches phi(n) sqrt(2(1-1/p))

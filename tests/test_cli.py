@@ -11,12 +11,6 @@ from ringcond import _checks, cli, formulas, linalg, ringarith
 from ringcond.numtheory import is_prime
 
 
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    yield
-    linalg.set_precision("double")
-
-
 def run_cond(tmp_path, *args):
     out = tmp_path / "out.csv"
     rc = cli.main(["cond", *args, "--out", str(out)])
@@ -116,6 +110,12 @@ def test_cond_extended_precision_flag(tmp_path):
     with open(out, newline="") as fh:
         row = next(csv.DictReader(fh))
     assert float(row["numeric_power"]) == pytest.approx(8.0, rel=1e-12)
+
+
+def test_precision_flag_is_scoped_to_one_call(tmp_path):
+    assert cli.main(["--precision", "extended", "cond", "--min", "16", "--max", "16",
+                     "--out", str(tmp_path / "ext.csv")]) == 0
+    assert linalg.active_precision() is linalg.DOUBLE
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,6 @@ from ringcond.formulas import cond_exact_twisted
 from ringcond.numtheory import cyclotomic_poly, factorize, first_primes
 
 
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    yield
-    linalg.set_precision("double")
-
-
 # ---------------------------------------------------------------------------
 # primitive roots
 

@@ -15,12 +15,11 @@ from ringcond.embeddings import primitive_roots_of_unity
 
 
 @pytest.fixture(autouse=True)
-def _restore_precision():
+def _oracle_precision():
     old = mpmath.mp.prec
     mpmath.mp.prec = 220  # the oracle must out-resolve everything under test
     yield
     mpmath.mp.prec = old
-    linalg.set_precision("double")
 
 
 def _mp_matrix(a):

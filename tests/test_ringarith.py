@@ -93,6 +93,10 @@ def test_scalar_ring_is_allowed_but_has_no_transform():
         ra.ntt_forward(a)
     with pytest.raises(ValueError):
         ra.wht_forward(a)
+    with pytest.raises(ValueError, match="scalar ring"):
+        ra.forward(a)
+    with pytest.raises(ValueError, match="scalar ring"):
+        ra.inverse(ra.PolyVec((5,), ra.Domain.EVALUATION, ctx))
 
 
 def test_polyvec_validation():
@@ -581,7 +585,7 @@ def _ref_inverse(x, ctx):
     if ctx.r:
         _ref_scale(a.reshape(-1, ctx.m_cyclo), ctx._hybrid_idiag[:, None], ctx.q)
     else:
-        _ref_scale(a, ctx._mc_inv, ctx.q)
+        _ref_scale(a, pow(ctx.m_cyclo, ctx.q - 2, ctx.q), ctx.q)
     return a
 
 
@@ -605,7 +609,7 @@ def _residue_ds(q, r):
 def _plan_shapes():
     for q, cap in ((Q_U64_2POW30, 1 << 16), (Q_OBJECT_2POW18, 1 << 10)):
         for blocks in (1, 2, 64, 4096):
-            mc = 2
+            mc = 1 if blocks > 1 else 2  # m_cyclo = 1: the WHT
             while mc * blocks <= cap:
                 yield pytest.param(q, mc, blocks, id=f"{q.bit_length()}bit-mc{mc}-b{blocks}")
                 mc <<= 1
@@ -678,7 +682,8 @@ def test_roundtrip_detects_corrupted_late_stage_twiddle(mc, r):
 
 
 def test_plans_hold_views_of_context_tables():
-    for mc, ds in ((4096, ()), (16, _residue_ds(12289, 7)), (64, (2, 3, 5))):
+    for mc, ds in ((4096, ()), (16, _residue_ds(12289, 7)), (64, (2, 3, 5)),
+                   (1, _residue_ds(12289, 7))):
         ctx = ra.make_context(12289 if mc <= 64 else Q_U64_2POW30, mc, ds)
         for forward, tables in ((True, (ctx._fwd, ctx._diag)),
                                 (False, (ctx._inv, ctx._hybrid_idiag))):
