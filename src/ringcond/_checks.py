@@ -83,21 +83,21 @@ def check_factored_cond(n_max: int = 100, phi_cap: int = 64,
     and hybrid cyclo-multiquadratic bases."""
     out = []
     for prec in precisions:
-        with linalg.precision(prec):
-            for n in range(2, n_max + 1):
-                c = factorize(n)
-                if c.phi > phi_cap:
-                    continue
-                q, = first_primes(1, exclude=[p for p, _ in c.factors])
-                for spec in (EmbeddingSpec(c), EmbeddingSpec(c, basis=Basis.TWISTED),
-                             EmbeddingSpec(c, (q,), Basis.TWISTED),
-                             EmbeddingSpec(c, (q,), Basis.HYBRID)):
-                    fac = embeddings.factored_cond(spec)
-                    dense = embeddings.numeric_cond(spec)
-                    rel = float(abs(fac - dense) / dense)
-                    if rel > 1e-12:
-                        out.append(f"factored {spec.basis.value} n={n} q={spec.quad_primes} "
-                                   f"at {prec}: {fac!r} vs dense {dense!r} (rel {rel:.2e})")
+        real = linalg.PRECISIONS[prec]
+        for n in range(2, n_max + 1):
+            c = factorize(n)
+            if c.phi > phi_cap:
+                continue
+            q, = first_primes(1, exclude=[p for p, _ in c.factors])
+            for spec in (EmbeddingSpec(c), EmbeddingSpec(c, basis=Basis.TWISTED),
+                         EmbeddingSpec(c, (q,), Basis.TWISTED),
+                         EmbeddingSpec(c, (q,), Basis.HYBRID)):
+                fac = embeddings.factored_cond(spec, real=real)
+                dense = embeddings.numeric_cond(spec, real=real)
+                rel = float(abs(fac - dense) / dense)
+                if rel > 1e-12:
+                    out.append(f"factored {spec.basis.value} n={n} q={spec.quad_primes} "
+                               f"at {prec}: {fac!r} vs dense {dense!r} (rel {rel:.2e})")
     return out
 
 

@@ -48,6 +48,7 @@ class SweepConfig:
     omega_filter: Optional[int]      # None means any
     numeric_cap: int = 512
     out_path: str = "-"
+    precision: str = "double"        # a key of linalg.PRECISIONS
 
     def __post_init__(self):
         if self.n_min > self.n_max:
@@ -56,6 +57,9 @@ class SweepConfig:
             raise ValueError("range must start at 1 or above")
         if not 0 <= self.numeric_cap <= 4096:
             raise ValueError("numeric cap must lie in [0, 4096]")
+        if self.precision not in linalg.PRECISIONS:
+            raise ValueError(f"unknown precision {self.precision!r}; "
+                             f"expected one of {sorted(linalg.PRECISIONS)}")
 
 
 def _fmt(value, exact_int: Optional[int] = None) -> str:
@@ -125,6 +129,7 @@ COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted
 
 
 def _cond_rows(config: SweepConfig):
+    real = linalg.PRECISIONS[config.precision]
     for n in range(max(config.n_min, 2), config.n_max + 1):
         c = factorize(n)
         if config.omega_filter is not None and c.omega != config.omega_filter:
@@ -137,10 +142,10 @@ def _cond_rows(config: SweepConfig):
         over_a = formulas.cond_bound_general(c, coeff_height=1)
         num_p = num_t = None
         if 0 < c.phi <= config.numeric_cap:
-            num_p = embeddings.factored_cond(EmbeddingSpec(c))
+            num_p = embeddings.factored_cond(EmbeddingSpec(c), real=real)
             # for a prime power the twisted matrix is the power matrix
             num_t = num_p if c.omega == 1 else embeddings.factored_cond(
-                EmbeddingSpec(c, basis=Basis.TWISTED))
+                EmbeddingSpec(c, basis=Basis.TWISTED), real=real)
         yield [
             n, c.omega, c.phi, c.rad, height(n),
             _fmt(closed.value if closed.applicable else None),
@@ -247,9 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ringcond",
         description="Condition-number tables and exact transform benchmarks "
                     "for cyclotomic and multiquadratic rings.")
-    parser.add_argument("--precision", choices=["double", "extended"],
+    parser.add_argument("--precision", choices=list(linalg.PRECISIONS),
                         default="double",
-                        help="floating precision for numeric condition numbers")
+                        help="floating precision for the numeric condition "
+                             "numbers of cond")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cond = sub.add_parser("cond", help="conductor sweep to CSV")
@@ -282,39 +288,38 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    with linalg.precision(args.precision):  # for this call only
-        if args.command == "cond":
-            if args.omega == "any":
-                omega = None
-            else:
-                try:
-                    omega = int(args.omega)
-                except ValueError:
-                    parser.error(f"--omega must be an integer or 'any', got {args.omega!r}")
-                if not 1 <= omega <= 6:
-                    parser.error("--omega must lie in 1..6")
-            if args.max > args.limit:
-                parser.error(f"--max {args.max} exceeds the sweep limit {args.limit}; "
-                             f"raise --limit if intended")
+    if args.command == "cond":
+        if args.omega == "any":
+            omega = None
+        else:
             try:
-                config = SweepConfig(args.min, args.max, omega,
-                                     numeric_cap=args.numeric_cap, out_path=args.out)
-            except ValueError as exc:
-                parser.error(str(exc))
-            return cmd_cond(config)
+                omega = int(args.omega)
+            except ValueError:
+                parser.error(f"--omega must be an integer or 'any', got {args.omega!r}")
+            if not 1 <= omega <= 6:
+                parser.error("--omega must lie in 1..6")
+        if args.max > args.limit:
+            parser.error(f"--max {args.max} exceeds the sweep limit {args.limit}; "
+                         f"raise --limit if intended")
+        try:
+            config = SweepConfig(args.min, args.max, omega, numeric_cap=args.numeric_cap,
+                                 out_path=args.out, precision=args.precision)
+        except ValueError as exc:
+            parser.error(str(exc))
+        return cmd_cond(config)
 
-        if args.command == "bench":
-            if args.mcyclo < 2 or args.mcyclo & (args.mcyclo - 1):
-                parser.error("--mcyclo must be a power of two >= 2")
-            if args.r < 0:
-                parser.error("--r must be nonnegative")
-            if not 8 <= args.qbits <= 62:
-                parser.error("--qbits must lie in [8, 62]")
-            if args.trials < 1:
-                parser.error("--trials must be positive")
-            return cmd_bench(args.mcyclo, args.r, args.qbits, args.trials, args.out)
+    if args.command == "bench":
+        if args.mcyclo < 2 or args.mcyclo & (args.mcyclo - 1):
+            parser.error("--mcyclo must be a power of two >= 2")
+        if args.r < 0:
+            parser.error("--r must be nonnegative")
+        if not 8 <= args.qbits <= 62:
+            parser.error("--qbits must lie in [8, 62]")
+        if args.trials < 1:
+            parser.error("--trials must be positive")
+        return cmd_bench(args.mcyclo, args.r, args.qbits, args.trials, args.out)
 
-        return cmd_verify(args.full)
+    return cmd_verify(args.full)
 
 
 if __name__ == "__main__":

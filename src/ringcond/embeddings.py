@@ -17,11 +17,17 @@ The numeric columns of `ringcond cond` come from `factored_cond`.
 Ordering conventions (the matrices, unlike their condition numbers, depend on
 them): primitive roots are enumerated by ascending residue k with
 gcd(k, n) = 1, tensor factors by ascending prime.
+
+Precision: every function that builds numbers from integers takes a
+`real=np.float64` keyword, the real numpy dtype to compute in; the matching
+complex dtype is np.promote_types(real, np.complex128).  np.longdouble gives
+the extended-precision matrices and condition numbers.
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +62,7 @@ class EmbeddingSpec:
     def __post_init__(self):
         c = as_conductor(self.conductor)
         object.__setattr__(self, "conductor", c)
-        primes = tuple(int(p) for p in self.quad_primes)
+        primes = tuple(operator.index(p) for p in self.quad_primes)
         object.__setattr__(self, "quad_primes", primes)
         if len(set(primes)) != len(primes):
             raise ValueError(f"quad_primes must be distinct, got {primes}")
@@ -75,31 +81,30 @@ class EmbeddingSpec:
         return self.conductor.phi * (1 << len(self.quad_primes))
 
 
-def _two_pi():
-    real = linalg.active_precision().real_dtype
+def _two_pi(real=np.float64):
     if real is np.longdouble:
         return np.longdouble(2) * np.longdouble(_PI_STR)
     return 2.0 * np.pi
 
 
-def primitive_roots_of_unity(n) -> np.ndarray:
-    """exp(2*pi*i*k/n) for the ascending k coprime to n, at active precision."""
+def primitive_roots_of_unity(n, *, real=np.float64) -> np.ndarray:
+    """exp(2*pi*i*k/n) for the ascending k coprime to n, in the complex
+    dtype of `real`."""
     c = as_conductor(n)
     if c.n < 2:
         raise ValueError("need a conductor n >= 2")
     ks = np.arange(1, c.n, dtype=np.int64)
     ks = ks[np.gcd(ks, c.n) == 1]
-    real = linalg.active_precision().real_dtype
-    theta = _two_pi() * ks.astype(real) / real(c.n)
-    return np.cos(theta) + np.sin(theta) * linalg.active_precision().complex_dtype(1j)
+    theta = _two_pi(real) * ks.astype(real) / real(c.n)
+    return np.cos(theta) + np.sin(theta) * np.promote_types(real, np.complex128).type(1j)
 
 
-def cyclotomic_vandermonde(n) -> np.ndarray:
+def cyclotomic_vandermonde(n, *, real=np.float64) -> np.ndarray:
     """phi(n) x phi(n) Vandermonde on the primitive n-th roots of unity."""
-    return linalg.vandermonde(primitive_roots_of_unity(n))
+    return linalg.vandermonde(primitive_roots_of_unity(n, real=real))
 
 
-def twisted_vandermonde(n) -> np.ndarray:
+def twisted_vandermonde(n, *, real=np.float64) -> np.ndarray:
     """Kronecker product of cyclotomic Vandermondes over the prime-power
     parts of n, ascending primes.  For a prime power this is just the
     cyclotomic Vandermonde itself."""
@@ -108,21 +113,20 @@ def twisted_vandermonde(n) -> np.ndarray:
         raise ValueError("need a conductor n >= 2")
     out = None
     for p, e in c.factors:
-        v = cyclotomic_vandermonde(p ** e)
+        v = cyclotomic_vandermonde(p ** e, real=real)
         out = v if out is None else linalg.kronecker(out, v)
     return out
 
 
-def quadratic_block(p: int) -> np.ndarray:
+def quadratic_block(p: int, *, real=np.float64) -> np.ndarray:
     """2x2 real integral-basis block for Q(sqrt(p)).
 
     Rows evaluate the integral basis at the two real embeddings: (1, +-sqrt p)
     when p = 2,3 (mod 4), and (1, (1 +- sqrt p)/2) when p = 1 (mod 4).
     """
-    p = int(p)
+    p = operator.index(p)
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    real = linalg.active_precision().real_dtype
     s = np.sqrt(real(p))
     one = real(1)
     if p % 4 == 1:
@@ -131,7 +135,8 @@ def quadratic_block(p: int) -> np.ndarray:
     return np.array([[one, s], [one, -s]])
 
 
-def embedding_matrix(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION) -> np.ndarray:
+def embedding_matrix(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *,
+                     real=np.float64) -> np.ndarray:
     """Materialize the spec's change-of-basis matrix.
 
     power basis -> V_{Phi_n}; twisted -> the twisted Vandermonde tensored with
@@ -146,33 +151,33 @@ def embedding_matrix(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION) -> np.ndarr
             f"embedding dimension {dim} exceeds the materialization cap {cap}"
         )
     if spec.basis == Basis.POWER:
-        return cyclotomic_vandermonde(spec.conductor)
+        return cyclotomic_vandermonde(spec.conductor, real=real)
     if spec.basis == Basis.TWISTED:
-        out = twisted_vandermonde(spec.conductor)
+        out = twisted_vandermonde(spec.conductor, real=real)
     else:
-        out = cyclotomic_vandermonde(spec.conductor)
+        out = cyclotomic_vandermonde(spec.conductor, real=real)
     for p in sorted(spec.quad_primes):
-        out = linalg.kronecker(out, quadratic_block(p))
+        out = linalg.kronecker(out, quadratic_block(p, real=real))
     return out
 
 
-def numeric_cond(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION):
+def numeric_cond(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix."""
-    return linalg.condition_number(embedding_matrix(spec, cap=cap))
+    return linalg.condition_number(embedding_matrix(spec, cap=cap, real=real))
 
 
-def _cyclotomic_cond(n: int):
+def _cyclotomic_cond(n: int, *, real=np.float64):
     # ||V||_F = phi(n) exactly: every entry of V lies on the unit circle
     phi = as_conductor(n).phi
     if phi > _MAX_DIMENSION:
         raise ValueError(
             f"Vandermonde factor of dimension {phi} exceeds the cap {_MAX_DIMENSION}"
         )
-    w = linalg.vandermonde_inverse_explicit(primitive_roots_of_unity(n))
+    w = linalg.vandermonde_inverse_explicit(primitive_roots_of_unity(n, real=real))
     return phi * linalg.frobenius(w)
 
 
-def factored_cond(spec: EmbeddingSpec):
+def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix, by factors.
 
     Equals `numeric_cond(spec)` up to rounding, in O(d^2) time and memory for
@@ -185,8 +190,9 @@ def factored_cond(spec: EmbeddingSpec):
     """
     c = spec.conductor
     if spec.basis == Basis.TWISTED:
-        parts = [_cyclotomic_cond(p ** e) for p, e in c.factors]
+        parts = [_cyclotomic_cond(p ** e, real=real) for p, e in c.factors]
     else:
-        parts = [_cyclotomic_cond(c)]
-    parts += [linalg.condition_number(quadratic_block(p)) for p in sorted(spec.quad_primes)]
+        parts = [_cyclotomic_cond(c, real=real)]
+    parts += [linalg.condition_number(quadratic_block(p, real=real))
+              for p in sorted(spec.quad_primes)]
     return math.prod(parts)

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel with selectable working precision.
+"""Dense complex matrix kernel at the precision of its input arrays.
 
 Frobenius norms, Kronecker products, matrix inversion (LAPACK at double
 precision, a compensated double-double Newton refinement at extended
@@ -6,69 +6,24 @@ precision, and a generic pivoted LU used for cross-checks and error
 reporting), plus Vandermonde construction and its explicit inverse via
 elementary symmetric polynomials.
 
-Precision model: matrices are plain numpy arrays.  ``double`` works in
-complex128 and uses LAPACK.  ``extended`` stores entries as clongdouble
-(x87 80-bit) and carries inversions at >= 106 effective significand bits
-through error-free-split BLAS products, which on a single core is two
-orders of magnitude faster than scalar long-double loops.
+Precision model: matrices are plain numpy arrays and their dtype is their
+precision; there is no module state.  complex128 (``double``) uses LAPACK.
+clongdouble (``extended``, x87 80-bit storage) carries inversions at >= 106
+effective significand bits through error-free-split BLAS products, which
+on a single core is two orders of magnitude faster than scalar long-double
+loops.  Real input is promoted by its own dtype: float64 and integers to
+complex128, longdouble to clongdouble.  `PRECISIONS` maps the two names to
+their real dtypes.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Precision:
-    name: str
-    complex_dtype: object
-    real_dtype: object
-
-
-DOUBLE = Precision("double", np.complex128, np.float64)
-EXTENDED = Precision("extended", np.clongdouble, np.longdouble)
-
-_BY_NAME = {"double": DOUBLE, "extended": EXTENDED}
-_active = DOUBLE
-
-
-def active_precision() -> Precision:
-    return _active
-
-
-def set_precision(p) -> Precision:
-    """Set the process-wide working precision ("double" or "extended")."""
-    global _active
-    if isinstance(p, str):
-        if p not in _BY_NAME:
-            raise ValueError(f"unknown precision {p!r}; expected 'double' or 'extended'")
-        p = _BY_NAME[p]
-    _active = p
-    return p
-
-
-@contextmanager
-def precision(p):
-    old = _active
-    set_precision(p)
-    try:
-        yield _active
-    finally:
-        set_precision(old)
+PRECISIONS = {"double": np.float64, "extended": np.longdouble}
 
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix is singular to working precision."""
-
-
-_EPS = {
-    np.dtype(np.complex128): float(np.finfo(np.float64).eps),
-    np.dtype(np.clongdouble): float(np.finfo(np.longdouble).eps),
-    np.dtype(np.float64): float(np.finfo(np.float64).eps),
-    np.dtype(np.longdouble): float(np.finfo(np.longdouble).eps),
-}
 
 
 def _as_square(a) -> np.ndarray:
@@ -76,6 +31,14 @@ def _as_square(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _as_complex(a: np.ndarray) -> np.ndarray:
+    # real input keeps its precision: float64 and integers -> complex128,
+    # longdouble -> clongdouble
+    if np.iscomplexobj(a):
+        return a
+    return a.astype(np.promote_types(a.dtype, np.complex128))
 
 
 def frobenius(a):
@@ -105,7 +68,7 @@ def _plain_lu_invert(a: np.ndarray) -> np.ndarray:
     A = a.copy()
     B = np.eye(n, dtype=A.dtype)
     scale = np.abs(A).max()
-    eps = _EPS.get(A.dtype, float(np.finfo(np.float64).eps))
+    eps = float(np.finfo(A.dtype).eps)
     tiny = n * eps * float(scale)
     for k in range(n):
         col = np.abs(A[k:, k])
@@ -236,12 +199,11 @@ def invert(a) -> np.ndarray:
     """Matrix inverse at the array's precision.
 
     complex128 goes through LAPACK; clongdouble through the compensated
-    refinement path; real input is promoted to the active precision first.
-    Singular matrices raise SingularMatrixError carrying the pivot magnitude.
+    refinement path; real input is promoted by its own dtype first (float64
+    to complex128, longdouble to clongdouble).  Singular matrices raise
+    SingularMatrixError carrying the pivot magnitude.
     """
-    a = _as_square(a)
-    if not np.iscomplexobj(a):
-        a = a.astype(active_precision().complex_dtype)
+    a = _as_complex(_as_square(a))
     if a.dtype == np.dtype(np.clongdouble):
         return _invert_extended(a)
     try:
@@ -275,14 +237,19 @@ def _check_distinct(roots: np.ndarray):
             )
 
 
-def vandermonde(roots) -> np.ndarray:
-    """Square Vandermonde matrix, row i = (1, r_i, r_i^2, ..., r_i^{n-1})."""
+def _as_roots(roots) -> np.ndarray:
+    """A nonempty 1-D array of distinct roots, complex at its own precision."""
     roots = np.atleast_1d(np.asarray(roots))
     if roots.ndim != 1 or roots.size < 1:
         raise ValueError("roots must be a nonempty 1-D sequence")
-    if not np.iscomplexobj(roots):
-        roots = roots.astype(active_precision().complex_dtype)
+    roots = _as_complex(roots)
     _check_distinct(roots)
+    return roots
+
+
+def vandermonde(roots) -> np.ndarray:
+    """Square Vandermonde matrix, row i = (1, r_i, r_i^2, ..., r_i^{n-1})."""
+    roots = _as_roots(roots)
     n = roots.size
     v = np.empty((n, n), dtype=roots.dtype)
     v[:, 0] = 1
@@ -318,12 +285,7 @@ def vandermonde_inverse_explicit(roots) -> np.ndarray:
     synthetic division of P(x) = prod_k (x - r_k) per column, so the whole
     inverse costs O(n^2) instead of O(n^3).
     """
-    roots = np.atleast_1d(np.asarray(roots))
-    if roots.ndim != 1 or roots.size < 1:
-        raise ValueError("roots must be a nonempty 1-D sequence")
-    if not np.iscomplexobj(roots):
-        roots = roots.astype(active_precision().complex_dtype)
-    _check_distinct(roots)
+    roots = _as_roots(roots)
     n = roots.size
     # P(x) = prod (x - r_k), coefficients ascending, built incrementally.
     # The insertion order matters in floating point: consuming unit-circle

@@ -251,7 +251,7 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
     roots s_i = sqrt(d_i) come from Tonelli-Shanks, canonicalized to
     min(s, q-s).
     """
-    q, m_cyclo = int(q), int(m_cyclo)
+    q, m_cyclo = operator.index(q), operator.index(m_cyclo)
     if not is_prime(q) or q == 2:
         raise ValueError(f"q = {q} is not an odd prime")
     if q >= _Q_CAP:
@@ -260,7 +260,7 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
         raise ValueError(f"m_cyclo = {m_cyclo} is not a power of two")
     if (q - 1) % (2 * m_cyclo):
         raise ValueError(f"q = {q} is not 1 mod {2 * m_cyclo}; no negacyclic NTT")
-    quad_d = tuple(int(d) for d in quad_d)
+    quad_d = tuple(map(operator.index, quad_d))
     if len(set(quad_d)) != len(quad_d):
         raise ValueError(f"duplicate d_i in {quad_d}")
     roots = []
@@ -611,7 +611,7 @@ class RnsContext:
 
 def make_rns_context(moduli: Sequence[int], m_cyclo: int,
                      quad_d: Sequence[int] = ()) -> RnsContext:
-    moduli = tuple(int(q) for q in moduli)
+    moduli = tuple(map(operator.index, moduli))
     if len(set(moduli)) != len(moduli):
         raise ValueError(f"moduli must be pairwise distinct, got {moduli}")
     ctxs = tuple(make_context(q, m_cyclo, quad_d) for q in moduli)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ringcond import _checks, cli, linalg
+from ringcond import _checks, cli
 from ringcond import ringarith as ra
 from ringcond.embeddings import (
     Basis,
@@ -70,16 +70,15 @@ def test_criterion_2_twisted_formula_reproduction_extended():
     t0 = time.perf_counter()
     targets = [n for n in range(2, 2001) if factorize(n).phi <= 512]
     worst = (0.0, None)
-    with linalg.precision("extended"):
-        for n in targets:
-            want = cond_exact_twisted(n).value
-            got = float(numeric_cond(EmbeddingSpec(n, basis=Basis.TWISTED)))
-            rel = abs(got - want) / want
-            if rel > worst[0]:
-                worst = (rel, n)
-            assert rel <= 1e-9, (
-                f"n={n}: twisted numeric {got!r} vs formula {want!r} (rel {rel:.3e})"
-            )
+    for n in targets:
+        want = cond_exact_twisted(n).value
+        got = float(numeric_cond(EmbeddingSpec(n, basis=Basis.TWISTED), real=np.longdouble))
+        rel = abs(got - want) / want
+        if rel > worst[0]:
+            worst = (rel, n)
+        assert rel <= 1e-9, (
+            f"n={n}: twisted numeric {got!r} vs formula {want!r} (rel {rel:.3e})"
+        )
     dt = time.perf_counter() - t0
     assert dt < 300, f"criterion 2 exceeded its 5-minute budget: {dt:.0f}s"
     print(

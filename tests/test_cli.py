@@ -5,10 +5,14 @@ import io
 import math
 import os
 
+import numpy as np
 import pytest
 
-from ringcond import _checks, cli, formulas, linalg, ringarith
+from ringcond import _checks, cli, formulas, ringarith
+from ringcond.embeddings import EmbeddingSpec, factored_cond
 from ringcond.numtheory import is_prime
+
+GOLDEN_COND = os.path.join(os.path.dirname(__file__), "data", "cond_2_300.csv")
 
 
 def run_cond(tmp_path, *args):
@@ -102,20 +106,46 @@ def test_cond_overflow_cells_render_from_exact_integers(tmp_path):
     assert cell == f"{want:.11e}".replace("E", "e")
 
 
-def test_cond_extended_precision_flag(tmp_path):
-    out = tmp_path / "ext.csv"
-    rc = cli.main(["--precision", "extended", "cond", "--min", "16", "--max", "16",
-                   "--numeric-cap", "16", "--out", str(out)])
-    assert rc == 0
+def _cond_at(tmp_path, precision, n):
+    out = tmp_path / f"{precision}.csv"
+    assert cli.main(["--precision", precision, "cond", "--min", str(n), "--max", str(n),
+                     "--out", str(out)]) == 0
     with open(out, newline="") as fh:
-        row = next(csv.DictReader(fh))
+        return next(csv.DictReader(fh))
+
+
+def test_cond_extended_precision_flag(tmp_path):
+    row = _cond_at(tmp_path, "extended", 16)
     assert float(row["numeric_power"]) == pytest.approx(8.0, rel=1e-12)
+    # at n = 173 the two precisions differ in the last printed digit, and
+    # only the extended value lands on the closed form
+    ext, dbl = _cond_at(tmp_path, "extended", 173), _cond_at(tmp_path, "double", 173)
+    assert ext["numeric_power"] == ext["exact_closed"] == "2.42540694398e+02"
+    assert dbl["numeric_power"] == "2.42540694399e+02"
 
 
 def test_precision_flag_is_scoped_to_one_call(tmp_path):
     assert cli.main(["--precision", "extended", "cond", "--min", "16", "--max", "16",
                      "--out", str(tmp_path / "ext.csv")]) == 0
-    assert linalg.active_precision() is linalg.DOUBLE
+    assert type(factored_cond(EmbeddingSpec(16))) is np.float64
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_cond_matches_golden_csv(tmp_path, precision):
+    # the nine exact columns are byte-identical to the committed table; the
+    # two numeric ones may move in the last digits with the platform's libm
+    out = tmp_path / "cond.csv"
+    assert cli.main(["--precision", precision, "cond", "--min", "2", "--max", "300",
+                     "--out", str(out)]) == 0
+    with open(GOLDEN_COND, newline="") as fh:
+        want = list(csv.reader(fh))
+    with open(out, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == want[0] == cli.COND_HEADER and len(got) == len(want) == 300
+    for g, w in zip(got[1:], want[1:]):
+        assert g[:9] == w[:9]
+        assert [float(c) for c in g[9:]] == pytest.approx([float(c) for c in w[9:]],
+                                                          rel=1e-10), g[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +247,19 @@ def test_roundtrip_check_detects_corrupted_diagonal():
         ["bench", "--mcyclo", "4", "--r", "1", "--trials", "0", "--out", "-"],
         ["nonsense"],
         [],
+        ["--precision", "quad", "cond", "--min", "2", "--max", "3", "--out", "-"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
+
+
+def test_sweep_config_rejects_unknown_precision():
+    # the config, not argparse alone, guards callers that build it directly
+    with pytest.raises(ValueError, match="unknown precision 'quad'"):
+        cli.SweepConfig(2, 3, None, precision="quad")
 
 
 def test_unwritable_output_exits_2(capsys):

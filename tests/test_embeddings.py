@@ -1,6 +1,7 @@
 """Embedding matrices: roots of unity, Vandermonde assembly over the three
 bases, quadratic blocks, and the materialization cap."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_spec_validation():
         EmbeddingSpec(12, (5,), Basis.POWER)
 
 
+def test_non_integral_inputs_are_rejected_not_truncated():
+    with pytest.raises(TypeError):
+        EmbeddingSpec(5, (3.7,), Basis.TWISTED)
+    with pytest.raises(TypeError):
+        quadratic_block(5.9)
+    # numpy integers are integral and still accepted
+    assert EmbeddingSpec(5, (np.int64(3),), Basis.TWISTED).quad_primes == (3,)
+    assert np.array_equal(quadratic_block(np.int32(5)), quadratic_block(5))
+
+
 def test_spec_coerces_conductor():
     s = EmbeddingSpec(36)
     assert s.conductor.phi == 12 and s.conductor.rad == 6
@@ -179,11 +190,12 @@ def test_numeric_cond_twisted_multiplicative():
 
 
 def test_extended_precision_dtype_flows_through():
-    with linalg.precision("extended"):
-        m = embedding_matrix(EmbeddingSpec(12, (5,), Basis.TWISTED))
-        assert m.dtype == np.clongdouble
-        v = numeric_cond(EmbeddingSpec(16))
-        assert float(v) == pytest.approx(8.0, rel=1e-15)
+    m = embedding_matrix(EmbeddingSpec(12, (5,), Basis.TWISTED), real=np.longdouble)
+    assert m.dtype == np.clongdouble
+    assert embedding_matrix(EmbeddingSpec(12, (5,), Basis.TWISTED)).dtype == np.complex128
+    v = numeric_cond(EmbeddingSpec(16), real=np.longdouble)
+    assert type(v) is np.longdouble
+    assert float(v) == pytest.approx(8.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +216,42 @@ def _spec_of_kind(n, kind):
 @pytest.mark.parametrize("precision", ["double", "extended"])
 @pytest.mark.parametrize("kind", ["power", "twisted", "twisted+q", "hybrid"])
 def test_factored_cond_matches_dense(precision, kind):
+    real = linalg.PRECISIONS[precision]
     checked = 0
-    with linalg.precision(precision):
-        for n in range(2, 301):
-            spec = _spec_of_kind(n, kind)
-            if spec.dimension > 512:
-                continue
-            fac, dense = factored_cond(spec), numeric_cond(spec)
-            assert type(fac) is type(dense)
-            rel = float(abs(fac - dense) / dense)
-            assert rel <= 1e-12, (n, spec.quad_primes, fac, dense, rel)
-            checked += 1
+    for n in range(2, 301):
+        spec = _spec_of_kind(n, kind)
+        if spec.dimension > 512:
+            continue
+        fac, dense = factored_cond(spec, real=real), numeric_cond(spec, real=real)
+        assert type(fac) is type(dense) is real
+        rel = float(abs(fac - dense) / dense)
+        assert rel <= 1e-12, (n, spec.quad_primes, fac, dense, rel)
+        checked += 1
     assert checked >= 240
+
+
+def test_factored_cond_mixed_precision_in_two_threads():
+    # the precision travels with each call, so double and extended sweeps can
+    # interleave in one process and each still gets its own sequential values
+    specs = [_spec_of_kind(n, kind) for n in range(2, 301, 7)
+             for kind in ("power", "twisted+q")]
+    reals = (np.float64, np.longdouble)
+    want = {real: [factored_cond(s, real=real) for s in specs] for real in reals}
+    got = {}
+    start = threading.Barrier(len(reals))
+
+    def sweep(real):
+        start.wait()
+        got[real] = [factored_cond(s, real=real) for s in specs]
+
+    threads = [threading.Thread(target=sweep, args=(real,)) for real in reals]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for real in reals:
+        assert [type(v) for v in got[real]] == [real] * len(specs)
+        assert got[real] == want[real]
 
 
 @pytest.mark.parametrize("n,basis", [(3003, Basis.POWER), (3003, Basis.TWISTED),

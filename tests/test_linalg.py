@@ -1,5 +1,5 @@
-"""Matrix kernel: precision switching, exact compensated products, inversion
-paths, and the explicit Vandermonde inverse.
+"""Matrix kernel: precision carried by the dtype, exact compensated products,
+inversion paths, and the explicit Vandermonde inverse.
 
 mpmath at 200 bits is the oracle for anything the double/extended paths must
 approximate.
@@ -40,33 +40,6 @@ def _mp_norm(m):
 def _rand_complex(n, rng_seed=7):
     rng = np.random.default_rng(rng_seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-# ---------------------------------------------------------------------------
-# precision plumbing
-
-
-def test_precision_default_and_context():
-    assert linalg.active_precision() is linalg.DOUBLE
-    with linalg.precision("extended") as p:
-        assert p is linalg.EXTENDED
-        assert linalg.active_precision().complex_dtype == np.clongdouble
-        with linalg.precision("double"):
-            assert linalg.active_precision() is linalg.DOUBLE
-        assert linalg.active_precision() is linalg.EXTENDED
-    assert linalg.active_precision() is linalg.DOUBLE
-
-
-def test_precision_restored_after_exception():
-    with pytest.raises(RuntimeError):
-        with linalg.precision("extended"):
-            raise RuntimeError("boom")
-    assert linalg.active_precision() is linalg.DOUBLE
-
-
-def test_set_precision_rejects_unknown():
-    with pytest.raises(ValueError):
-        linalg.set_precision("quad")
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +140,12 @@ def test_invert_double_residual(n):
 
 
 def test_invert_real_input_promotes():
-    x = linalg.invert(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    assert x.dtype == np.complex128
-    assert np.allclose(x, np.diag([0.5, 0.25]))
-    with linalg.precision("extended"):
-        x = linalg.invert(np.array([[2.0, 0.0], [0.0, 4.0]]))
-        assert x.dtype == np.clongdouble
+    # real input is promoted by its own dtype, never by outside state
+    for dtype, want in ((np.float64, np.complex128), (np.int64, np.complex128),
+                        (np.longdouble, np.clongdouble)):
+        x = linalg.invert(np.array([[2, 0], [0, 4]], dtype=dtype))
+        assert x.dtype == want
+        assert np.allclose(x.astype(np.complex128), np.diag([0.5, 0.25]))
 
 
 def test_invert_rejects_non_square():
@@ -275,9 +248,10 @@ def test_explicit_inverse_matches_exact_rationals():
 
 
 def test_explicit_inverse_extended_dtype():
-    with linalg.precision("extended"):
-        w = linalg.vandermonde_inverse_explicit([1.0, 2.0, 4.0])
-        assert w.dtype == np.clongdouble
+    roots = np.array([1.0, 2.0, 4.0], dtype=np.longdouble)
+    assert linalg.vandermonde(roots).dtype == np.clongdouble
+    assert linalg.vandermonde_inverse_explicit(roots).dtype == np.clongdouble
+    assert linalg.vandermonde_inverse_explicit([1.0, 2.0, 4.0]).dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [251, 1280])
@@ -314,14 +288,14 @@ def _leja_order_masked(roots):
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_explicit_inverse_equals_masked_leja_reference(precision, monkeypatch):
     rng = np.random.default_rng(11)
-    with linalg.precision(precision):
-        dtype = linalg.active_precision().complex_dtype
-        sets = [primitive_roots_of_unity(n) for n in (2, 7, 105, 1280)]
-        sets.append((rng.standard_normal(40) + 1j * rng.standard_normal(40)).astype(dtype))
-        for roots in sets:
-            assert np.array_equal(linalg._leja_order(roots), _leja_order_masked(roots))
-            got = linalg.vandermonde_inverse_explicit(roots)
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "_leja_order", _leja_order_masked)
-                want = linalg.vandermonde_inverse_explicit(roots)
-            assert got.dtype == dtype and np.array_equal(got, want)
+    real = linalg.PRECISIONS[precision]
+    dtype = np.promote_types(real, np.complex128)
+    sets = [primitive_roots_of_unity(n, real=real) for n in (2, 7, 105, 1280)]
+    sets.append((rng.standard_normal(40) + 1j * rng.standard_normal(40)).astype(dtype))
+    for roots in sets:
+        assert np.array_equal(linalg._leja_order(roots), _leja_order_masked(roots))
+        got = linalg.vandermonde_inverse_explicit(roots)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_leja_order", _leja_order_masked)
+            want = linalg.vandermonde_inverse_explicit(roots)
+        assert got.dtype == dtype and np.array_equal(got, want)

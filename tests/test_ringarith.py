@@ -65,6 +65,21 @@ def test_quad_roots_are_canonical_square_roots():
         assert s <= ctx.q - s
 
 
+def test_non_integral_parameters_are_rejected_not_truncated():
+    with pytest.raises(TypeError):
+        ra.make_context(12289.9, 4, (2,))
+    with pytest.raises(TypeError):
+        ra.make_context(12289, 4.5, (2,))
+    with pytest.raises(TypeError):
+        ra.make_context(12289, 4, (2.2,))
+    with pytest.raises(TypeError):
+        ra.make_rns_context((17.0, 97), 4)
+    # numpy integers are integral and still accepted
+    ctx = ra.make_context(np.int64(12289), np.int32(4), (np.int64(2),))
+    assert (ctx.q, ctx.m_cyclo, ctx.quad_d) == (12289, 4, (2,))
+    assert ra.make_rns_context((np.int64(17), 97), 4).moduli == (17, 97)
+
+
 def test_make_context_validation():
     with pytest.raises(ValueError):
         ra.make_context(16, 4)  # q not prime
