@@ -10,9 +10,11 @@ matrix and inverts it densely (LAPACK, or the compensated refinement at
 extended precision); it is the reference.  `factored_cond` never builds the
 Kronecker product: kappa_F(A (x) B) = kappa_F(A) kappa_F(B) holds exactly
 (the Frobenius norm is multiplicative under (x), and (A (x) B)^-1 =
-A^-1 (x) B^-1), so it multiplies the condition numbers of the factors, each
-cyclotomic Vandermonde inverted by the O(phi^2) explicit Lagrange formula.
-The numeric columns of `ringcond cond` come from `factored_cond`.
+A^-1 (x) B^-1), so it multiplies the condition numbers of the factors.  Each
+cyclotomic Vandermonde is inverted in O(phi^2) by `linalg.lagrange_inverse`:
+the exact integer Phi_n divided synthetically by (x - zeta) for every root at
+once, over the closed-form derivatives Phi_n'(zeta).  The numeric columns of
+`ringcond cond` come from `factored_cond`.
 
 Ordering conventions (the matrices, unlike their condition numbers, depend on
 them): primitive roots are enumerated by ascending residue k with
@@ -21,11 +23,13 @@ gcd(k, n) = 1, tensor factors by ascending prime.
 Precision: every function that builds numbers from integers takes a
 `real=np.float64` keyword, the real numpy dtype to compute in; the matching
 complex dtype is np.promote_types(real, np.complex128).  np.longdouble gives
-the extended-precision matrices and condition numbers.
+the extended-precision matrices and condition numbers; a `real` outside
+`linalg.PRECISIONS` raises ValueError.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .numtheory import Conductor, as_conductor, is_prime
+from .numtheory import Conductor, as_conductor, cyclotomic_poly, is_prime
 
 # pi to more digits than any supported significand; np.pi is only a double
 _PI_STR = "3.14159265358979323846264338327950288419716939937510582097494459"
@@ -81,7 +85,16 @@ class EmbeddingSpec:
         return self.conductor.phi * (1 << len(self.quad_primes))
 
 
+def _check_real(real):
+    # identity, not equality: np.dtype("f8") == np.float64, yet only the
+    # scalar types themselves can build numbers here
+    if not any(real is t for t in linalg.PRECISIONS.values()):
+        allowed = ", ".join(f"np.{t.__name__}" for t in linalg.PRECISIONS.values())
+        raise ValueError(f"real must be one of {allowed}, got {real!r}")
+
+
 def _two_pi(real=np.float64):
+    _check_real(real)
     if real is np.longdouble:
         return np.longdouble(2) * np.longdouble(_PI_STR)
     return 2.0 * np.pi
@@ -91,12 +104,46 @@ def primitive_roots_of_unity(n, *, real=np.float64) -> np.ndarray:
     """exp(2*pi*i*k/n) for the ascending k coprime to n, in the complex
     dtype of `real`."""
     c = as_conductor(n)
+    theta = _two_pi(real) * _units(c).astype(real) / real(c.n)
+    return np.cos(theta) + np.sin(theta) * np.promote_types(real, np.complex128).type(1j)
+
+
+def _units(c: Conductor) -> np.ndarray:
+    # the ascending k in [1, n) coprime to n
     if c.n < 2:
         raise ValueError("need a conductor n >= 2")
     ks = np.arange(1, c.n, dtype=np.int64)
-    ks = ks[np.gcd(ks, c.n) == 1]
-    theta = _two_pi(real) * ks.astype(real) / real(c.n)
-    return np.cos(theta) + np.sin(theta) * np.promote_types(real, np.complex128).type(1j)
+    return ks[np.gcd(ks, c.n) == 1]
+
+
+def _cyclotomic_derivative(c: Conductor, *, real=np.float64) -> np.ndarray:
+    """Phi_n'(zeta_k) at the roots of `primitive_roots_of_unity`, free of
+    cancellation.
+
+    x^n - 1 = Phi_n(x) prod_{d | n, d < n} Phi_d(x) and Moebius inversion give
+    Phi_n'(zeta) = n zeta^-1 prod_{s | rad n, s > 1} (zeta^(n/s) - 1)^mu(s),
+    and zeta_k^(n/s) - 1 = 2 sin(pi k/s) * i exp(i pi k/s).  So the modulus
+    is a product of 2^omega - 1 sines and the phase a rational turn, summed
+    exactly in units of pi/(2n).
+    """
+    n = c.n
+    ks = _units(c)
+    pi = _two_pi(real) / real(2)
+    amp = np.full(ks.size, real(n))
+    turns = -4 * ks
+    primes = [p for p, _ in c.factors]
+    for w in range(1, len(primes) + 1):
+        for sub in itertools.combinations(primes, w):
+            s, mu = math.prod(sub), (-1) ** w
+            # chord 2 sin(pi k/s), its sine taken at an angle in (0, pi/2]
+            m = ks % (2 * s)
+            r = m % s
+            chord = 2 * np.sin(pi * np.minimum(r, s - r).astype(real) / real(s))
+            chord = np.where(m > s, -chord, chord)
+            amp = amp * chord if mu > 0 else amp / chord
+            turns += mu * (n + 2 * ks * (n // s))
+    theta = pi * (turns % (4 * n)).astype(real) / real(2 * n)
+    return amp * (np.cos(theta) + np.sin(theta) * np.promote_types(real, np.complex128).type(1j))
 
 
 def cyclotomic_vandermonde(n, *, real=np.float64) -> np.ndarray:
@@ -124,6 +171,7 @@ def quadratic_block(p: int, *, real=np.float64) -> np.ndarray:
     Rows evaluate the integral basis at the two real embeddings: (1, +-sqrt p)
     when p = 2,3 (mod 4), and (1, (1 +- sqrt p)/2) when p = 1 (mod 4).
     """
+    _check_real(real)
     p = operator.index(p)
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
@@ -166,15 +214,29 @@ def numeric_cond(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *, real=np.floa
     return linalg.condition_number(embedding_matrix(spec, cap=cap, real=real))
 
 
+def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
+    """Integer coefficients cast to `real`, refusing any the cast would round."""
+    out = coeffs.astype(real)
+    if coeffs.dtype == object:  # Python ints past int64
+        exact = all(int(x) == v for x, v in zip(out, coeffs))
+    else:
+        exact = np.array_equal(out.astype(coeffs.dtype), coeffs)
+    if not exact:
+        raise ValueError(f"integer coefficients do not all fit np.{real.__name__} exactly")
+    return out
+
+
 def _cyclotomic_cond(n: int, *, real=np.float64):
     # ||V||_F = phi(n) exactly: every entry of V lies on the unit circle
-    phi = as_conductor(n).phi
-    if phi > _MAX_DIMENSION:
+    c = as_conductor(n)
+    if c.phi > _MAX_DIMENSION:
         raise ValueError(
-            f"Vandermonde factor of dimension {phi} exceeds the cap {_MAX_DIMENSION}"
+            f"Vandermonde factor of dimension {c.phi} exceeds the cap {_MAX_DIMENSION}"
         )
-    w = linalg.vandermonde_inverse_explicit(primitive_roots_of_unity(n, real=real))
-    return phi * linalg.frobenius(w)
+    w = linalg.lagrange_inverse(primitive_roots_of_unity(c, real=real),
+                                _exact_cast(cyclotomic_poly(c.n), real),
+                                _cyclotomic_derivative(c, real=real))
+    return c.phi * linalg.frobenius(w)
 
 
 def factored_cond(spec: EmbeddingSpec, *, real=np.float64):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -99,7 +100,7 @@ def _from_symbolic(kind: Kind, sym: SymbolicValue, c=None, primes=(),
 
 
 def _check_primes(c: Conductor, primes) -> tuple:
-    primes = tuple(int(p) for p in primes)
+    primes = tuple(operator.index(p) for p in primes)
     if len(set(primes)) != len(primes):
         raise ValueError(f"quadratic primes must be distinct, got {primes}")
     for p in primes:
@@ -146,7 +147,7 @@ def cond_exact_twisted(n) -> BoundReport:
 def cond_quadratic(p) -> BoundReport:
     """Condition number of the 2x2 block for Q(sqrt p): sqrt(p) + 1/sqrt(p)
     when p = 2,3 (mod 4), and (p+5)/(2 sqrt p) when p = 1 (mod 4)."""
-    p = int(p)
+    p = operator.index(p)
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     if p % 4 == 1:
@@ -184,7 +185,7 @@ def cond_bound_general(n, coeff_height=None) -> BoundReport:
     c = as_conductor(n)
     if c.n < 2:
         return _inapplicable(Kind.BOUND_GENERAL, "need n >= 2", c)
-    a = height(c.n) if coeff_height is None else int(coeff_height)
+    a = height(c.n) if coeff_height is None else operator.index(coeff_height)
     if a < 1:
         raise ValueError(f"coefficient height must be >= 1, got {a}")
     e = (1 << c.omega) + c.omega + 2
@@ -221,7 +222,7 @@ def cond_bound_refined(n) -> BoundReport:
 
 def cond_bound_quadratic(p) -> BoundReport:
     """Envelope 2 + sqrt(p) for a quadratic block, both residue classes."""
-    p = int(p)
+    p = operator.index(p)
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     return BoundReport(kind=Kind.BOUND_QUADRATIC, value=2.0 + math.sqrt(p),
@@ -298,7 +299,7 @@ def height_bound_56(n) -> BoundReport:
 
 def omega_upper_bound(n) -> float:
     """Unconditional bound omega(n) <= 1.3841 * ln n / ln ln n for n >= 3."""
-    n = int(n)
+    n = operator.index(n)
     if n < 3:
         raise ValueError(f"bound needs n >= 3, got {n}")
     return 1.3841 * math.log(n) / math.log(math.log(n))

@@ -3,8 +3,8 @@
 Frobenius norms, Kronecker products, matrix inversion (LAPACK at double
 precision, a compensated double-double Newton refinement at extended
 precision, and a generic pivoted LU used for cross-checks and error
-reporting), plus Vandermonde construction and its explicit inverse via
-elementary symmetric polynomials.
+reporting), plus Vandermonde construction and its explicit O(n^2) Lagrange
+inverse, from a given polynomial or from one built out of the roots.
 
 Precision model: matrices are plain numpy arrays and their dtype is their
 precision; there is no module state.  complex128 (``double``) uses LAPACK.
@@ -220,7 +220,7 @@ def condition_number(a):
 
 
 # ---------------------------------------------------------------------------
-# Vandermonde matrices and the explicit symmetric-polynomial inverse.
+# Vandermonde matrices and their explicit Lagrange inverse.
 
 
 def _check_distinct(roots: np.ndarray):
@@ -277,13 +277,55 @@ def _leja_order(roots: np.ndarray) -> np.ndarray:
     return order
 
 
-def vandermonde_inverse_explicit(roots) -> np.ndarray:
-    """Inverse Vandermonde via elementary symmetric polynomials.
+def _quotients(roots: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # column j: the coefficients of P / (x - r_j), by synthetic division
+    # vectorized across all columns
+    n = roots.size
+    q = np.empty((n, n), dtype=roots.dtype)
+    q[n - 1, :] = p[n]
+    for i in range(n - 2, -1, -1):
+        np.multiply(roots, q[i + 1], out=q[i])
+        q[i] += p[i + 1]
+    return q
 
-    Column j holds the coefficients of the Lagrange basis polynomial
-    L_j = prod_{k != j} (x - r_k) / (r_j - r_k); the numerators come from one
-    synthetic division of P(x) = prod_k (x - r_k) per column, so the whole
-    inverse costs O(n^2) instead of O(n^3).
+
+def lagrange_inverse(roots, poly, derivative) -> np.ndarray:
+    """Inverse Vandermonde from the roots, their polynomial and its
+    derivative at each root, in O(n^2).
+
+    `poly` holds the ascending coefficients of the monic P(x) = prod_k (x - r_k)
+    in the roots' real or complex dtype, and `derivative` the values P'(r_j)
+    in the roots' dtype.  Column j of the inverse holds the coefficients of
+    the Lagrange basis polynomial L_j = P / ((x - r_j) P'(r_j)), from one
+    synthetic division per column.  The result is only as accurate as its
+    inputs: the cyclotomic polynomials have exact integer coefficients and
+    closed-form derivatives at their roots.
+    """
+    roots = _as_roots(roots)
+    n = roots.size
+    p = np.asarray(poly)
+    if p.dtype not in (roots.real.dtype, roots.dtype):
+        raise ValueError(f"poly must have dtype {roots.real.dtype} or {roots.dtype}, "
+                         f"got {p.dtype}")
+    if p.shape != (n + 1,) or p[n] != 1:
+        raise ValueError(f"poly must be the {n + 1} ascending coefficients of a monic "
+                         f"polynomial of degree {n}")
+    d = np.asarray(derivative)
+    if d.dtype != roots.dtype or d.shape != (n,):
+        raise ValueError(f"derivative must be {n} values of dtype {roots.dtype}")
+    q = _quotients(roots, p)
+    q /= d
+    return q
+
+
+def vandermonde_inverse_explicit(roots) -> np.ndarray:
+    """Inverse Vandermonde of arbitrary distinct roots, in O(n^2).
+
+    Builds P(x) = prod_k (x - r_k) in floating point, consuming the roots in
+    Leja order, divides it synthetically as `lagrange_inverse` does, and takes
+    the denominators P'(r_j) by Horner on the quotients.  Horner sums terms
+    far larger than its result when the inverse is ill conditioned, so a
+    closed-form derivative, where one exists, is more accurate.
     """
     roots = _as_roots(roots)
     n = roots.size
@@ -301,13 +343,11 @@ def vandermonde_inverse_explicit(roots) -> np.ndarray:
         nxt[: deg + 1] -= z * p[: deg + 1]
         p = nxt
         deg += 1
-    # synthetic division P / (x - r_j), vectorized across all columns j
-    q = np.empty((n, n), dtype=roots.dtype)
-    q[n - 1, :] = p[n]
-    for i in range(n - 2, -1, -1):
-        q[i, :] = p[i + 1] + roots * q[i + 1, :]
+    q = _quotients(roots, p)
     # denominators D_j = Q_j(r_j) = prod_{k != j} (r_j - r_k), by Horner
-    d = q[n - 1, :].copy()
+    d = q[n - 1].copy()
     for i in range(n - 2, -1, -1):
-        d = d * roots + q[i, :]
-    return q / d[None, :]
+        d *= roots
+        d += q[i]
+    q /= d
+    return q

@@ -9,6 +9,7 @@ at a degree larger than phi(rad(n)).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,7 +125,7 @@ def as_conductor(n) -> Conductor:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -1,12 +1,19 @@
 """Embedding matrices: roots of unity, Vandermonde assembly over the three
-bases, quadratic blocks, and the materialization cap."""
+bases, quadratic blocks, and the materialization cap.
+
+The factored condition numbers are checked against the dense reference and
+against an oracle that shares no code with ringcond: sympy's cyclotomic
+coefficients, mpmath roots and fixed-point integer arithmetic."""
+import functools
 import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
-from ringcond import linalg
+from ringcond import embeddings, linalg
 from ringcond.embeddings import (
     Basis,
     EmbeddingSpec,
@@ -132,6 +139,24 @@ def test_non_integral_inputs_are_rejected_not_truncated():
     # numpy integers are integral and still accepted
     assert EmbeddingSpec(5, (np.int64(3),), Basis.TWISTED).quad_primes == (3,)
     assert np.array_equal(quadratic_block(np.int32(5)), quadratic_block(5))
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float16, float, np.dtype(np.float64),
+                                  np.clongdouble])
+def test_builders_reject_real_dtypes_outside_precisions(real):
+    # float32 once gave factored_cond(173) = 242.5394 against 242.5407
+    builders = [
+        lambda: primitive_roots_of_unity(7, real=real),
+        lambda: cyclotomic_vandermonde(7, real=real),
+        lambda: quadratic_block(5, real=real),
+        lambda: embedding_matrix(EmbeddingSpec(12, (5,), Basis.TWISTED), real=real),
+        lambda: numeric_cond(EmbeddingSpec(173), real=real),
+        lambda: factored_cond(EmbeddingSpec(173), real=real),
+        lambda: factored_cond(EmbeddingSpec(105, basis=Basis.TWISTED), real=real),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="np.float64, np.longdouble"):
+            build()
 
 
 def test_spec_coerces_conductor():
@@ -273,3 +298,83 @@ def test_factored_cond_twisted_beyond_materialization_cap():
     assert factored_cond(spec) == pytest.approx(cond_exact_twisted(n).value, rel=1e-9)
     with pytest.raises(ValueError, match="exceeds the cap"):
         factored_cond(EmbeddingSpec(2**14))  # one Vandermonde factor of dimension 8192
+
+
+# ---------------------------------------------------------------------------
+# the exact cyclotomic path of factored_cond against an independent oracle
+
+_ORACLE_BITS = 200  # fixed-point scale: about 60 significant digits
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_power_cond(n):
+    """phi * ||V^-1||_F for the primitive n-th roots, to about 50 digits.
+
+    Column j of V^-1 is Q_j / Q_j(z_j) with Q_j = Phi_n / (x - z_j): the O(phi)
+    synthetic division and Horner run on scaled Python integers, the roots
+    come from mpmath at 70 digits, and the coefficients from sympy.  Conjugate
+    roots give conjugate columns, so only the upper half-plane is summed.
+    """
+    x = sympy.symbols("x")
+    one = 1 << _ORACLE_BITS
+    c = [int(v) * one for v in sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]]
+    phi = len(c) - 1
+    total = mpmath.mpf(0)
+    with mpmath.workdps(70):
+        for k in range(1, (n + 1) // 2):
+            if math.gcd(k, n) != 1:
+                continue
+            z = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+            zr, zi = int(mpmath.nint(z.real * one)), int(mpmath.nint(z.imag * one))
+            a, b = one, 0
+            quotient = [(a, b)]
+            for i in range(phi - 1, 0, -1):
+                a, b = (c[i] + ((zr * a - zi * b) >> _ORACLE_BITS),
+                        (zr * b + zi * a) >> _ORACLE_BITS)
+                quotient.append((a, b))
+            da, db = 0, 0
+            for a, b in quotient:
+                da, db = (a + ((zr * da - zi * db) >> _ORACLE_BITS),
+                          b + ((zr * db + zi * da) >> _ORACLE_BITS))
+            norm2 = sum(a * a + b * b for a, b in quotient)
+            total += 2 * mpmath.mpf(norm2) / mpmath.mpf(da * da + db * db)
+        return phi * mpmath.sqrt(total)
+
+
+def _mp(v):
+    # exact for float64 and for the 64-bit significand of longdouble
+    hi = float(v)
+    return mpmath.mpf(hi) + mpmath.mpf(float(v - type(v)(hi)))
+
+
+@pytest.mark.parametrize("precision,tol", [("double", 1e-14), ("extended", 2e-16)])
+@pytest.mark.parametrize("n", [173, 359, 603, 742, 1155, 1416, 3003])
+def test_factored_cond_matches_mpmath_oracle(n, precision, tol):
+    got = factored_cond(EmbeddingSpec(n), real=linalg.PRECISIONS[precision])
+    want = _oracle_power_cond(n)
+    with mpmath.workdps(50):
+        rel = abs(_mp(got) - want) / want
+    assert rel <= tol, (n, precision, float(rel))
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 36, 105, 173, 360, 1155])
+def test_cyclotomic_derivative_matches_root_products(n, real):
+    c = factorize(n)
+    roots = primitive_roots_of_unity(c, real=real)
+    got = embeddings._cyclotomic_derivative(c, real=real)
+    want = np.array([np.prod(z - np.delete(roots, j)) for j, z in enumerate(roots)])
+    assert got.dtype == roots.dtype
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_exact_cast_refuses_to_round():
+    big = np.array([1, 0, 2**60 + 1, 1], dtype=object)
+    with pytest.raises(ValueError, match="np.float64 exactly"):
+        embeddings._exact_cast(big, np.float64)
+    # the 64-bit longdouble significand holds 2^60 + 1, but not 2^70 + 1
+    assert embeddings._exact_cast(big, np.longdouble)[2] == np.longdouble(2**60 + 1)
+    with pytest.raises(ValueError, match="np.longdouble exactly"):
+        embeddings._exact_cast(np.array([1, 2**70 + 1], dtype=object), np.longdouble)
+    ints = cyclotomic_poly(105)
+    assert np.array_equal(embeddings._exact_cast(ints, np.float64), ints)

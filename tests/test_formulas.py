@@ -8,6 +8,7 @@ true coefficient heights.  Pinned literals cover the hand-checkable cases.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ringcond import formulas as fm
@@ -137,6 +138,30 @@ def test_exact_cyclomq_prime_validation():
         fm.cond_exact_cyclomq_twisted(8, (3, 3))
     with pytest.raises(ValueError):
         fm.cond_exact_cyclomq_twisted(8, (15,))
+
+
+def test_non_integral_inputs_are_rejected_not_truncated():
+    # cond_quadratic(5.9) used to report the block for 5
+    calls = [
+        lambda: fm.cond_quadratic(5.9),
+        lambda: fm.cond_bound_quadratic(5.9),
+        lambda: fm.cond_exact_cyclomq_twisted(8, (3.0,)),
+        lambda: fm.cond_bound_cyclomq(8, (5.5,)),
+        lambda: fm.hybrid_bound(8, (3, 5.0)),
+        lambda: fm.cond_bound_general(105, coeff_height=1.5),
+        lambda: fm.omega_upper_bound(30.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers are integral and still accepted
+    assert fm.cond_quadratic(np.int64(5)).value == fm.cond_quadratic(5).value
+    assert fm.cond_bound_quadratic(np.int32(7)).value == fm.cond_bound_quadratic(7).value
+    assert (fm.cond_exact_cyclomq_twisted(8, (np.int64(3),)).value
+            == fm.cond_exact_cyclomq_twisted(8, (3,)).value)
+    assert (fm.cond_bound_general(105, coeff_height=np.int64(1)).value
+            == fm.cond_bound_general(105, coeff_height=1).value)
+    assert fm.omega_upper_bound(np.int64(30)) == fm.omega_upper_bound(30)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from ringcond import linalg
 from ringcond.embeddings import primitive_roots_of_unity
+from ringcond.numtheory import cyclotomic_poly
 
 
 @pytest.fixture(autouse=True)
@@ -299,3 +300,42 @@ def test_explicit_inverse_equals_masked_leja_reference(precision, monkeypatch):
             m.setattr(linalg, "_leja_order", _leja_order_masked)
             want = linalg.vandermonde_inverse_explicit(roots)
         assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def _root_products(roots):
+    # P'(r_j) = prod_{k != j} (r_j - r_k), straight from the definition
+    return np.array([np.prod(z - np.delete(roots, j)) for j, z in enumerate(roots)])
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("n", [2, 7, 36, 105, 173, 360, 1155])
+def test_lagrange_inverse_of_exact_cyclotomic_matches_leja_product(n, precision):
+    real = linalg.PRECISIONS[precision]
+    roots = primitive_roots_of_unity(n, real=real)
+    got = linalg.lagrange_inverse(roots, cyclotomic_poly(n).astype(real),
+                                  _root_products(roots))
+    want = linalg.vandermonde_inverse_explicit(roots)
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lagrange_inverse_validates_its_inputs():
+    roots = primitive_roots_of_unity(12)
+    poly = cyclotomic_poly(12).astype(np.float64)
+    deriv = _root_products(roots)
+    bad_calls = [
+        lambda: linalg.lagrange_inverse(roots, cyclotomic_poly(12), deriv),  # int64
+        lambda: linalg.lagrange_inverse(roots, poly.astype(np.float32), deriv),
+        lambda: linalg.lagrange_inverse(roots.astype(np.clongdouble), poly, deriv),
+        lambda: linalg.lagrange_inverse(roots, poly[:-1], deriv),
+        lambda: linalg.lagrange_inverse(roots, 2 * poly, deriv),  # not monic
+        lambda: linalg.lagrange_inverse(np.r_[roots[:3], roots[0]],
+                                        np.array([1.0, 0, 0, 0, 1]), deriv),  # duplicate
+        lambda: linalg.lagrange_inverse(roots, poly, deriv[:3]),
+        lambda: linalg.lagrange_inverse(roots, poly, deriv.real),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
+    w = linalg.lagrange_inverse(roots, poly.astype(roots.dtype), deriv)
+    assert np.allclose(linalg.vandermonde(roots) @ w, np.eye(4), atol=1e-14)

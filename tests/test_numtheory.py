@@ -94,6 +94,17 @@ def test_is_prime_hard_cases(n, expected):
     assert nt.is_prime(n) == expected
 
 
+@pytest.mark.parametrize("bad", [7.9, 12289.5, 7.0])
+def test_is_prime_rejects_floats_not_truncates(bad):
+    with pytest.raises(TypeError):
+        nt.is_prime(bad)
+
+
+def test_is_prime_accepts_numpy_ints():
+    assert nt.is_prime(np.int64(12289)) and nt.is_prime(np.uint32(7))
+    assert not nt.is_prime(np.int32(12288))
+
+
 def test_first_primes():
     assert nt.first_primes(5) == [2, 3, 5, 7, 11]
     assert nt.first_primes(4, exclude=(2,)) == [3, 5, 7, 11]
