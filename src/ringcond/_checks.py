@@ -240,26 +240,16 @@ def check_rns_roundtrip(trials: int = 200, seed: int = 5150) -> List[str]:
 
 
 def check_explicit_inverse(ns: Tuple[int, ...] = (5, 8, 16, 36)) -> List[str]:
-    """Both Lagrange inverses vs LU inversion: the Leja-built product, and the
-    exact Phi_n with closed-form denominators that factored_cond divides."""
+    """The exact-Phi_n inverse that factored_cond uses vs LU inversion."""
     out = []
     for n in ns:
-        c = factorize(n)
-        roots = embeddings.primitive_roots_of_unity(c)
-        v = linalg.vandermonde(roots)
+        v = embeddings.cyclotomic_vandermonde(n)
         w_lu = linalg.invert(v)
         cond = float(np.abs(linalg.frobenius(v) * linalg.frobenius(w_lu)))
         tol = 200 * np.finfo(np.float64).eps * cond
-        inverses = {
-            "explicit": linalg.vandermonde_inverse_explicit(roots),
-            "exact Phi_n": linalg.lagrange_inverse(
-                roots, cyclotomic_poly(n).astype(np.float64),
-                embeddings._cyclotomic_derivative(c)),
-        }
-        for name, w in inverses.items():
-            diff = float(np.abs(w - w_lu).max())
-            if diff > tol:
-                out.append(f"{name} inverse at n={n}: max diff {diff:.2e} > tol {tol:.2e}")
+        diff = float(np.abs(embeddings.cyclotomic_vandermonde_inverse(n) - w_lu).max())
+        if diff > tol:
+            out.append(f"exact Phi_n inverse at n={n}: max diff {diff:.2e} > tol {tol:.2e}")
     return out
 
 
@@ -360,7 +350,7 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
      check_transform_homomorphism),
     ("operation counts", check_operation_counts),
     ("rns round-trip", check_rns_roundtrip),
-    ("explicit and exact-Phi_n Vandermonde inverses", check_explicit_inverse),
+    ("exact-Phi_n Vandermonde inverse vs LU", check_explicit_inverse),
     ("height identities (n<=200)", check_height_identities),
     ("symbolic report consistency", check_symbolic_reports),
 ]

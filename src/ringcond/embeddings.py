@@ -11,10 +11,12 @@ extended precision); it is the reference.  `factored_cond` never builds the
 Kronecker product: kappa_F(A (x) B) = kappa_F(A) kappa_F(B) holds exactly
 (the Frobenius norm is multiplicative under (x), and (A (x) B)^-1 =
 A^-1 (x) B^-1), so it multiplies the condition numbers of the factors.  Each
-cyclotomic Vandermonde is inverted in O(phi^2) by `linalg.lagrange_inverse`:
-the exact integer Phi_n divided synthetically by (x - zeta) for every root at
-once, over the closed-form derivatives Phi_n'(zeta).  The numeric columns of
-`ringcond cond` come from `factored_cond`.
+cyclotomic Vandermonde is inverted in O(phi^2) by
+`cyclotomic_vandermonde_inverse`, the one explicit inverse in the package:
+`linalg.lagrange_inverse` divides the exact integer Phi_n synthetically by
+(x - zeta) for every root at once, over the closed-form derivatives
+Phi_n'(zeta).  The numeric columns of `ringcond cond` come from
+`factored_cond`.
 
 Ordering conventions (the matrices, unlike their condition numbers, depend on
 them): primitive roots are enumerated by ascending residue k with
@@ -151,6 +153,30 @@ def cyclotomic_vandermonde(n, *, real=np.float64) -> np.ndarray:
     return linalg.vandermonde(primitive_roots_of_unity(n, real=real))
 
 
+def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
+    """Integer coefficients cast to `real`, refusing any the cast would round."""
+    out = coeffs.astype(real)
+    if coeffs.dtype == object:  # Python ints past int64
+        exact = all(int(x) == v for x, v in zip(out, coeffs))
+    else:
+        exact = np.array_equal(out.astype(coeffs.dtype), coeffs)
+    if not exact:
+        raise ValueError(f"integer coefficients do not all fit np.{real.__name__} exactly")
+    return out
+
+
+def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
+    """Inverse of `cyclotomic_vandermonde(n)` in O(phi(n)^2).
+
+    `linalg.lagrange_inverse` on the exact integer Phi_n, cast to `real`
+    without rounding, over the closed-form derivatives Phi_n'(zeta).
+    """
+    c = as_conductor(n)
+    return linalg.lagrange_inverse(primitive_roots_of_unity(c, real=real),
+                                   _exact_cast(cyclotomic_poly(c.n), real),
+                                   _cyclotomic_derivative(c, real=real))
+
+
 def twisted_vandermonde(n, *, real=np.float64) -> np.ndarray:
     """Kronecker product of cyclotomic Vandermondes over the prime-power
     parts of n, ascending primes.  For a prime power this is just the
@@ -214,18 +240,6 @@ def numeric_cond(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *, real=np.floa
     return linalg.condition_number(embedding_matrix(spec, cap=cap, real=real))
 
 
-def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
-    """Integer coefficients cast to `real`, refusing any the cast would round."""
-    out = coeffs.astype(real)
-    if coeffs.dtype == object:  # Python ints past int64
-        exact = all(int(x) == v for x, v in zip(out, coeffs))
-    else:
-        exact = np.array_equal(out.astype(coeffs.dtype), coeffs)
-    if not exact:
-        raise ValueError(f"integer coefficients do not all fit np.{real.__name__} exactly")
-    return out
-
-
 def _cyclotomic_cond(n: int, *, real=np.float64):
     # ||V||_F = phi(n) exactly: every entry of V lies on the unit circle
     c = as_conductor(n)
@@ -233,10 +247,7 @@ def _cyclotomic_cond(n: int, *, real=np.float64):
         raise ValueError(
             f"Vandermonde factor of dimension {c.phi} exceeds the cap {_MAX_DIMENSION}"
         )
-    w = linalg.lagrange_inverse(primitive_roots_of_unity(c, real=real),
-                                _exact_cast(cyclotomic_poly(c.n), real),
-                                _cyclotomic_derivative(c, real=real))
-    return c.phi * linalg.frobenius(w)
+    return c.phi * linalg.frobenius(cyclotomic_vandermonde_inverse(c, real=real))
 
 
 def factored_cond(spec: EmbeddingSpec, *, real=np.float64):

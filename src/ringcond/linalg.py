@@ -4,7 +4,9 @@ Frobenius norms, Kronecker products, matrix inversion (LAPACK at double
 precision, a compensated double-double Newton refinement at extended
 precision, and a generic pivoted LU used for cross-checks and error
 reporting), plus Vandermonde construction and its explicit O(n^2) Lagrange
-inverse, from a given polynomial or from one built out of the roots.
+inverse from a given polynomial and its derivative at the roots (the
+cyclotomic caller, `embeddings.cyclotomic_vandermonde_inverse`, passes the
+exact integer Phi_n and closed-form Phi_n'(zeta)).
 
 Precision model: matrices are plain numpy arrays and their dtype is their
 precision; there is no module state.  complex128 (``double``) uses LAPACK.
@@ -258,37 +260,6 @@ def vandermonde(roots) -> np.ndarray:
     return v
 
 
-def _leja_order(roots: np.ndarray) -> np.ndarray:
-    # greedy max-distance (Leja) permutation: each step picks the root
-    # farthest (in product of distances) from those already consumed
-    n = roots.size
-    order = np.empty(n, dtype=np.intp)
-    gain = np.zeros(n)
-    j = int(np.argmax(np.abs(roots)))
-    # a consumed root stays at -inf: it gets log 0 when consumed, and later
-    # steps add only finite logs (the roots are distinct)
-    with np.errstate(divide="ignore"):
-        for t in range(n):
-            order[t] = j
-            gain += np.log(np.abs(roots - roots[j]).astype(np.float64))
-            gain[j] = -np.inf
-            if t + 1 < n:
-                j = int(np.argmax(gain))
-    return order
-
-
-def _quotients(roots: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # column j: the coefficients of P / (x - r_j), by synthetic division
-    # vectorized across all columns
-    n = roots.size
-    q = np.empty((n, n), dtype=roots.dtype)
-    q[n - 1, :] = p[n]
-    for i in range(n - 2, -1, -1):
-        np.multiply(roots, q[i + 1], out=q[i])
-        q[i] += p[i + 1]
-    return q
-
-
 def lagrange_inverse(roots, poly, derivative) -> np.ndarray:
     """Inverse Vandermonde from the roots, their polynomial and its
     derivative at each root, in O(n^2).
@@ -313,41 +284,12 @@ def lagrange_inverse(roots, poly, derivative) -> np.ndarray:
     d = np.asarray(derivative)
     if d.dtype != roots.dtype or d.shape != (n,):
         raise ValueError(f"derivative must be {n} values of dtype {roots.dtype}")
-    q = _quotients(roots, p)
-    q /= d
-    return q
-
-
-def vandermonde_inverse_explicit(roots) -> np.ndarray:
-    """Inverse Vandermonde of arbitrary distinct roots, in O(n^2).
-
-    Builds P(x) = prod_k (x - r_k) in floating point, consuming the roots in
-    Leja order, divides it synthetically as `lagrange_inverse` does, and takes
-    the denominators P'(r_j) by Horner on the quotients.  Horner sums terms
-    far larger than its result when the inverse is ill conditioned, so a
-    closed-form derivative, where one exists, is more accurate.
-    """
-    roots = _as_roots(roots)
-    n = roots.size
-    # P(x) = prod (x - r_k), coefficients ascending, built incrementally.
-    # The insertion order matters in floating point: consuming unit-circle
-    # roots along an arc lets prefix-product coefficients grow like e^{ct}
-    # (every significant digit is gone by a few hundred roots), while the
-    # Leja order keeps prefixes spread out and their coefficients small.
-    p = np.zeros(n + 1, dtype=roots.dtype)
-    p[0] = 1
-    deg = 0
-    for z in roots[_leja_order(roots)]:
-        nxt = np.zeros(n + 1, dtype=roots.dtype)
-        nxt[1 : deg + 2] = p[: deg + 1]
-        nxt[: deg + 1] -= z * p[: deg + 1]
-        p = nxt
-        deg += 1
-    q = _quotients(roots, p)
-    # denominators D_j = Q_j(r_j) = prod_{k != j} (r_j - r_k), by Horner
-    d = q[n - 1].copy()
+    # column j: the coefficients of P / (x - r_j), by synthetic division
+    # vectorized across all columns
+    q = np.empty((n, n), dtype=roots.dtype)
+    q[n - 1, :] = p[n]
     for i in range(n - 2, -1, -1):
-        d *= roots
-        d += q[i]
+        np.multiply(roots, q[i + 1], out=q[i])
+        q[i] += p[i + 1]
     q /= d
     return q

@@ -17,8 +17,9 @@ from ringcond import ringarith as ra
 from ringcond.embeddings import (
     Basis,
     EmbeddingSpec,
+    cyclotomic_vandermonde,
+    cyclotomic_vandermonde_inverse,
     numeric_cond,
-    primitive_roots_of_unity,
 )
 from ringcond.formulas import (
     cond_bound_cyclomq,
@@ -30,7 +31,7 @@ from ringcond.formulas import (
     height_bound_56,
     hybrid_bound,
 )
-from ringcond.linalg import invert, vandermonde, vandermonde_inverse_explicit
+from ringcond.linalg import invert
 from ringcond.numtheory import cyclotomic_poly, factorize, height, is_prime
 
 
@@ -342,8 +343,9 @@ def test_criterion_7_appendix_properties():
     # (a) height invariance under the radical and the divisor-product
     #     identity for all n <= 1e4; (b) the omega 4..6 height estimates
     #     dominate true heights for all squarefree n <= 1e5; (c) the root
-    #     derivative inequality on 20 sampled conductors; (d) the explicit
-    #     inverse agrees with LU inversion through phi(n) <= 512.
+    #     derivative inequality on 20 sampled conductors; (d) the exact-Phi_n
+    #     inverse that factored_cond uses agrees with LU inversion through
+    #     phi(n) <= 512.
     t0 = time.perf_counter()
     N = 10**4
 
@@ -392,20 +394,19 @@ def test_criterion_7_appendix_properties():
     fails = _checks.check_dens_inequality(count=20, phi_cap=3000)
     assert not fails, fails
 
-    # (d) explicit inverse vs LU through phi <= 512, per-entry relative
+    # (d) exact-Phi_n inverse vs LU through phi <= 512, per-entry relative
     t2 = time.perf_counter()
     ns = [n for n in range(2, 261)] + [288, 320, 384, 420, 512, 576, 640,
                                        768, 840, 1024, 1155, 1280]
     ns = [n for n in ns if factorize(n).phi <= 512]
     worst = (0.0, None)
     for n in ns:
-        roots = primitive_roots_of_unity(n)
-        w_lu = invert(vandermonde(roots))
-        w_explicit = vandermonde_inverse_explicit(roots)
-        rel = float(np.max(np.abs(w_explicit - w_lu) / np.abs(w_lu)))
+        w_lu = invert(cyclotomic_vandermonde(n))
+        w_exact = cyclotomic_vandermonde_inverse(n)
+        rel = float(np.max(np.abs(w_exact - w_lu) / np.abs(w_lu)))
         if rel > worst[0]:
             worst = (rel, n)
-        assert rel <= 1e-8, f"n={n}: explicit vs LU per-entry rel diff {rel:.3e}"
+        assert rel <= 1e-8, f"n={n}: exact-Phi_n vs LU per-entry rel diff {rel:.3e}"
     t_d = time.perf_counter() - t2
 
     dt = time.perf_counter() - t0
@@ -413,7 +414,7 @@ def test_criterion_7_appendix_properties():
     print(
         f"criterion 7: PASS — identities to 1e4 ({t_a:.1f}s); "
         f"{checked} squarefree heights dominated ({t_b:.1f}s); 20 sampled "
-        f"derivative bounds; explicit inverse on {len(ns)} conductors "
+        f"derivative bounds; exact-Phi_n inverse on {len(ns)} conductors "
         f"(worst per-entry dev {worst[0]:.2e} at n={worst[1]}, {t_d:.1f}s); "
         f"total {dt:.1f}s"
     )

@@ -1,10 +1,10 @@
 """Matrix kernel: precision carried by the dtype, exact compensated products,
-inversion paths, and the explicit Vandermonde inverse.
+inversion paths, the duplicate-root check, and the explicit Lagrange
+Vandermonde inverse on generic and on exact cyclotomic polynomials.
 
 mpmath at 200 bits is the oracle for anything the double/extended paths must
 approximate.
 """
-import math
 
 import mpmath
 import numpy as np
@@ -206,7 +206,7 @@ def test_plain_lu_matches_lapack():
 
 
 # ---------------------------------------------------------------------------
-# Vandermonde and its explicit inverse
+# Vandermonde and its explicit Lagrange inverse
 
 
 def test_vandermonde_layout():
@@ -223,6 +223,42 @@ def test_vandermonde_rejects_duplicates():
     linalg.vandermonde([1.0, 1.0 + 1e-9])
 
 
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_duplicate_tolerance_is_inclusive_and_relative(k):
+    # the tolerance is 1e-12 * max|r| and a gap equal to it is a duplicate;
+    # scaling by a power of two keeps every gap and tolerance exact
+    gap = 1e-12
+    for roots, rejected in [
+        ([gap, 0.0, 1.0], True),                      # gap == tol
+        ([np.nextafter(gap, 1.0), 0.0, 1.0], False),  # one ulp above tol
+        ([gap, 0.0, 1j], True),                       # max|r| is the modulus
+        ([gap, 0.0, 2.0], True),                      # tol = 2e-12
+        ([gap, 0.0, 0.5], False),                     # tol = 5e-13
+    ]:
+        roots = np.asarray(roots, dtype=np.complex128) * 2.0**k
+        if rejected:
+            with pytest.raises(ValueError, match=r"\|roots\[0\] - roots\[1\]\|"):
+                linalg.vandermonde(roots)
+        else:
+            linalg.vandermonde(roots)
+
+
+def test_duplicate_tolerance_floor_for_tiny_roots():
+    # below max|r| = 1e-300 the tolerance stops shrinking at 1e-312
+    with pytest.raises(ValueError, match="duplicate roots"):
+        linalg.vandermonde([0.0, 5e-313])
+    linalg.vandermonde([0.0, 2e-312])
+
+
+def test_duplicate_report_names_first_row_and_its_nearest_root():
+    # rows 1 and 2 both hold duplicates; row 1 is reported, with its nearest
+    # root (index 4, an exact copy) rather than its first one within the
+    # tolerance (index 3)
+    roots = [7.0, 1.0, 2.0, 1.0 + 1e-13, 1.0, 2.0]
+    with pytest.raises(ValueError, match=r"\|roots\[1\] - roots\[4\]\| = 0\.000e\+00"):
+        linalg.vandermonde(roots)
+
+
 def test_vandermonde_rejects_bad_shapes():
     with pytest.raises(ValueError):
         linalg.vandermonde(np.ones((2, 2)))
@@ -230,20 +266,33 @@ def test_vandermonde_rejects_bad_shapes():
         linalg.vandermonde([])
 
 
+def _root_products(roots):
+    # P'(r_j) = prod_{k != j} (r_j - r_k), straight from the definition
+    return np.array([np.prod(z - np.delete(roots, j)) for j, z in enumerate(roots)])
+
+
+def _generic_lagrange_inverse(roots):
+    # arbitrary roots: P from np.poly, P'(r_j) from the root products
+    roots = np.asarray(roots)
+    roots = roots.astype(np.promote_types(roots.dtype, np.complex128))
+    return linalg.lagrange_inverse(roots, np.poly(roots)[::-1], _root_products(roots))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
 def test_explicit_inverse_is_inverse(n):
     rng = np.random.default_rng(n)
     roots = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = linalg.vandermonde(roots)
-    w = linalg.vandermonde_inverse_explicit(roots)
+    w = _generic_lagrange_inverse(roots)
     cond = linalg.condition_number(v)
     assert linalg.frobenius(v @ w - np.eye(n)) <= 1e-13 * cond
 
 
 def test_explicit_inverse_matches_exact_rationals():
     # integer roots: the exact inverse has rational entries computable by hand
-    roots = [1.0, 2.0, 3.0]
-    w = linalg.vandermonde_inverse_explicit(roots)
+    roots = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(np.poly(roots)[::-1], [-6.0, 11.0, -6.0, 1.0])
+    w = _generic_lagrange_inverse(roots)
     want = np.array([[3.0, -3.0, 1.0], [-2.5, 4.0, -1.5], [0.5, -1.0, 0.5]])
     assert np.allclose(w, want, atol=1e-13)
 
@@ -251,72 +300,22 @@ def test_explicit_inverse_matches_exact_rationals():
 def test_explicit_inverse_extended_dtype():
     roots = np.array([1.0, 2.0, 4.0], dtype=np.longdouble)
     assert linalg.vandermonde(roots).dtype == np.clongdouble
-    assert linalg.vandermonde_inverse_explicit(roots).dtype == np.clongdouble
-    assert linalg.vandermonde_inverse_explicit([1.0, 2.0, 4.0]).dtype == np.complex128
-
-
-@pytest.mark.parametrize("n", [251, 1280])
-def test_explicit_inverse_large_unit_circle_sets(n):
-    # unit-circle root sets consumed along the arc lose every significant
-    # digit by a few hundred roots; the builder must stay accurate to
-    # dimension 512 regardless of the order the roots arrive in
-    k = np.array([j for j in range(1, n) if math.gcd(j, n) == 1])
-    roots = np.exp(2j * np.pi * k / n)
-    w_lu = linalg.invert(linalg.vandermonde(roots))
-    w_ex = linalg.vandermonde_inverse_explicit(roots)
-    assert np.max(np.abs(w_ex - w_lu) / np.abs(w_lu)) <= 1e-8
-
-
-def _leja_order_masked(roots):
-    # reference greedy loop: consumed roots are tracked in a mask and reset
-    # to -inf after every step
-    n = roots.size
-    order = np.empty(n, dtype=np.intp)
-    taken = np.zeros(n, dtype=bool)
-    gain = np.zeros(n)
-    j = int(np.argmax(np.abs(roots)))
-    for t in range(n):
-        order[t] = j
-        taken[j] = True
-        with np.errstate(divide="ignore"):
-            gain += np.log(np.abs(roots - roots[j]).astype(np.float64))
-        gain[taken] = -np.inf
-        if t + 1 < n:
-            j = int(np.argmax(gain))
-    return order
-
-
-@pytest.mark.parametrize("precision", ["double", "extended"])
-def test_explicit_inverse_equals_masked_leja_reference(precision, monkeypatch):
-    rng = np.random.default_rng(11)
-    real = linalg.PRECISIONS[precision]
-    dtype = np.promote_types(real, np.complex128)
-    sets = [primitive_roots_of_unity(n, real=real) for n in (2, 7, 105, 1280)]
-    sets.append((rng.standard_normal(40) + 1j * rng.standard_normal(40)).astype(dtype))
-    for roots in sets:
-        assert np.array_equal(linalg._leja_order(roots), _leja_order_masked(roots))
-        got = linalg.vandermonde_inverse_explicit(roots)
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "_leja_order", _leja_order_masked)
-            want = linalg.vandermonde_inverse_explicit(roots)
-        assert got.dtype == dtype and np.array_equal(got, want)
-
-
-def _root_products(roots):
-    # P'(r_j) = prod_{k != j} (r_j - r_k), straight from the definition
-    return np.array([np.prod(z - np.delete(roots, j)) for j, z in enumerate(roots)])
+    assert _generic_lagrange_inverse(roots).dtype == np.clongdouble
+    assert _generic_lagrange_inverse([1.0, 2.0, 4.0]).dtype == np.complex128
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
 @pytest.mark.parametrize("n", [2, 7, 36, 105, 173, 360, 1155])
-def test_lagrange_inverse_of_exact_cyclotomic_matches_leja_product(n, precision):
+def test_lagrange_inverse_of_exact_cyclotomic_has_small_residual(n, precision):
+    # ||V W - I||_F <= 100 eps kappa_F(V), with kappa_F from the dense inverse
     real = linalg.PRECISIONS[precision]
     roots = primitive_roots_of_unity(n, real=real)
-    got = linalg.lagrange_inverse(roots, cyclotomic_poly(n).astype(real),
-                                  _root_products(roots))
-    want = linalg.vandermonde_inverse_explicit(roots)
-    assert got.dtype == want.dtype
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    w = linalg.lagrange_inverse(roots, cyclotomic_poly(n).astype(real),
+                                _root_products(roots))
+    v = linalg.vandermonde(roots)
+    assert w.dtype == v.dtype
+    resid = linalg.frobenius(v @ w - np.eye(roots.size, dtype=v.dtype))
+    assert resid <= 100 * np.finfo(real).eps * linalg.condition_number(v)
 
 
 def test_lagrange_inverse_validates_its_inputs():
