@@ -55,8 +55,8 @@ class SweepConfig:
             raise ValueError(f"empty range [{self.n_min}, {self.n_max}]")
         if self.n_min < 1:
             raise ValueError("range must start at 1 or above")
-        if not 0 <= self.numeric_cap <= 4096:
-            raise ValueError("numeric cap must lie in [0, 4096]")
+        if not 0 <= self.numeric_cap <= embeddings.MAX_DIMENSION:
+            raise ValueError(f"numeric cap must lie in [0, {embeddings.MAX_DIMENSION}]")
         if self.precision not in linalg.PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}; "
                              f"expected one of {sorted(linalg.PRECISIONS)}")

@@ -39,12 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .numtheory import Conductor, as_conductor, cyclotomic_poly, is_prime
+from .numtheory import Conductor, as_conductor, check_quad_primes, cyclotomic_poly, is_prime
 
 # pi to more digits than any supported significand; np.pi is only a double
 _PI_STR = "3.14159265358979323846264338327950288419716939937510582097494459"
 
-_MAX_DIMENSION = 4096
+# the largest matrix or Vandermonde factor any evaluator materializes
+MAX_DIMENSION = 4096
 
 
 class Basis(enum.Enum):
@@ -68,15 +69,8 @@ class EmbeddingSpec:
     def __post_init__(self):
         c = as_conductor(self.conductor)
         object.__setattr__(self, "conductor", c)
-        primes = tuple(operator.index(p) for p in self.quad_primes)
+        primes = check_quad_primes(c.n, self.quad_primes)
         object.__setattr__(self, "quad_primes", primes)
-        if len(set(primes)) != len(primes):
-            raise ValueError(f"quad_primes must be distinct, got {primes}")
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"quad_primes entries must be prime, got {p}")
-            if c.n % p == 0:
-                raise ValueError(f"quadratic prime {p} divides the conductor {c.n}")
         if self.basis == Basis.HYBRID and not primes:
             raise ValueError("hybrid basis requires a nonempty quad_primes list")
         if self.basis == Basis.POWER and primes:
@@ -209,20 +203,19 @@ def quadratic_block(p: int, *, real=np.float64) -> np.ndarray:
     return np.array([[one, s], [one, -s]])
 
 
-def embedding_matrix(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *,
-                     real=np.float64) -> np.ndarray:
+def embedding_matrix(spec: EmbeddingSpec, *, real=np.float64) -> np.ndarray:
     """Materialize the spec's change-of-basis matrix.
 
     power basis -> V_{Phi_n}; twisted -> the twisted Vandermonde tensored with
     the quadratic blocks; hybrid -> V_{Phi_n} tensored with the quadratic
-    blocks.  Dimensions above `cap` are refused: a dense Frobenius condition
-    number needs the dense inverse, so large parameters belong to the formula
-    evaluators instead.
+    blocks.  Dimensions above MAX_DIMENSION are refused: a dense Frobenius
+    condition number needs the dense inverse, so large parameters belong to
+    the formula evaluators instead.
     """
     dim = spec.dimension
-    if dim > cap:
+    if dim > MAX_DIMENSION:
         raise ValueError(
-            f"embedding dimension {dim} exceeds the materialization cap {cap}"
+            f"embedding dimension {dim} exceeds the materialization cap {MAX_DIMENSION}"
         )
     if spec.basis == Basis.POWER:
         return cyclotomic_vandermonde(spec.conductor, real=real)
@@ -235,17 +228,17 @@ def embedding_matrix(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *,
     return out
 
 
-def numeric_cond(spec: EmbeddingSpec, cap: int = _MAX_DIMENSION, *, real=np.float64):
+def numeric_cond(spec: EmbeddingSpec, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix."""
-    return linalg.condition_number(embedding_matrix(spec, cap=cap, real=real))
+    return linalg.condition_number(embedding_matrix(spec, real=real))
 
 
 def _cyclotomic_cond(n: int, *, real=np.float64):
     # ||V||_F = phi(n) exactly: every entry of V lies on the unit circle
     c = as_conductor(n)
-    if c.phi > _MAX_DIMENSION:
+    if c.phi > MAX_DIMENSION:
         raise ValueError(
-            f"Vandermonde factor of dimension {c.phi} exceeds the cap {_MAX_DIMENSION}"
+            f"Vandermonde factor of dimension {c.phi} exceeds the cap {MAX_DIMENSION}"
         )
     return c.phi * linalg.frobenius(cyclotomic_vandermonde_inverse(c, real=real))
 
@@ -258,8 +251,8 @@ def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     phi(n) * ||V^-1||_F; twisted -> the product of that over the prime-power
     parts of n; hybrid -> the power value of n; each quadratic prime
     multiplies in the condition number of its 2x2 block.  A Vandermonde
-    factor above 4096 is refused, as `embedding_matrix` refuses the whole
-    matrix.
+    factor above MAX_DIMENSION is refused, as `embedding_matrix` refuses the
+    whole matrix.
     """
     c = spec.conductor
     if spec.basis == Basis.TWISTED:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numtheory import Conductor, as_conductor, first_primes, height, is_prime
+from .numtheory import Conductor, as_conductor, check_quad_primes, height, is_prime
 
 
 class Kind(enum.Enum):
@@ -99,18 +99,6 @@ def _from_symbolic(kind: Kind, sym: SymbolicValue, c=None, primes=(),
                        symbolic=sym, log10_value=sym.log10(), exponent=exponent)
 
 
-def _check_primes(c: Conductor, primes) -> tuple:
-    primes = tuple(operator.index(p) for p in primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError(f"quadratic primes must be distinct, got {primes}")
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"quadratic primes must be prime, got {p}")
-        if c.n % p == 0:
-            raise ValueError(f"quadratic prime {p} divides the conductor {c.n}")
-    return primes
-
-
 # ---------------------------------------------------------------------------
 # Exact equalities.
 
@@ -162,7 +150,7 @@ def cond_exact_cyclomq_twisted(n, primes) -> BoundReport:
     cyclotomic field with Q(sqrt p) for each listed prime: the cyclotomic
     twisted value times the quadratic-block values (Kronecker multiplicativity)."""
     c = as_conductor(n)
-    primes = _check_primes(c, primes)
+    primes = check_quad_primes(c.n, primes)
     base = cond_exact_twisted(c)
     if not base.applicable:
         return _inapplicable(Kind.EXACT_TWISTED, base.reason, c, primes)
@@ -233,7 +221,7 @@ def cond_bound_quadratic(p) -> BoundReport:
 def cond_bound_cyclomq(n, primes) -> BoundReport:
     """Twisted cyclo-multiquadratic bound phi(n) * 2^(omega/2) * prod (2 + sqrt p)."""
     c = as_conductor(n)
-    primes = _check_primes(c, primes)
+    primes = check_quad_primes(c.n, primes)
     if c.n < 2:
         return _inapplicable(Kind.BOUND_CYCLOMQ, "need n >= 2", c, primes)
     log10 = (math.log10(c.phi) + 0.5 * c.omega * math.log10(2.0)
@@ -254,7 +242,7 @@ def hybrid_bound(n, primes) -> BoundReport:
     times prod (2 + sqrt p) over the quadratic primes.  exponent records the
     power of m in the growth envelope (m^2 .. m^13 as omega runs 1..6)."""
     c = as_conductor(n)
-    primes = _check_primes(c, primes)
+    primes = check_quad_primes(c.n, primes)
     base = cond_bound_refined(c)
     if not base.applicable:
         return _inapplicable(Kind.BOUND_HYBRID, base.reason, c, primes)

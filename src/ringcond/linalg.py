@@ -139,11 +139,12 @@ def _gemm_exact_dd(a: np.ndarray, b: np.ndarray):
     """a @ b for complex128 inputs with ~2^-100 relative accuracy, as (hi, lo).
 
     Entries are split into mantissa chunks narrow enough that every chunk
-    product accumulates exactly in a double-precision BLAS gemm; the partial
-    products are then recombined with compensated summation.
+    product accumulates exactly in a double-precision BLAS gemm: a real part
+    sums 2n products of up to 2^(2t) units, so 2t + 1 + log2(n) <= 53.  The
+    partial products are then recombined with compensated summation.
     """
     n = a.shape[1]
-    t = max((53 - int(np.ceil(np.log2(max(n, 2))))) // 2, 8)
+    t = max((52 - int(np.ceil(np.log2(max(n, 2))))) // 2, 8)
     k = int(np.ceil(53.0 / t)) + 1
     ea = _max_exponents(a, axis=0)
     eb = _max_exponents(b, axis=1)

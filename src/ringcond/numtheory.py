@@ -149,6 +149,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_quad_primes(n: int, primes) -> tuple:
+    """The quadratic primes adjoined to conductor n, as a tuple of ints:
+    distinct primes, none of which divides n; ValueError otherwise."""
+    primes = tuple(map(operator.index, primes))
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"quadratic primes must be distinct, got {primes}")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"quadratic primes must be prime, got {p}")
+        if n % p == 0:
+            raise ValueError(f"quadratic prime {p} divides the conductor {n}")
+    return primes
+
+
 def first_primes(count: int, exclude=()) -> list:
     """The first `count` primes not contained in `exclude`."""
     out = []

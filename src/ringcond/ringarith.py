@@ -20,10 +20,12 @@ two residues stays below 2^64, otherwise object (Python integers) up to the
 62-bit cap.  Both dtypes run the same kernels.  A PolyVec keeps its residues
 in a read-only array of that dtype, so transforms pass arrays from one to
 the next; PolyVec.values gives the same residues as a tuple of Python
-integers, built on first access.  The schoolbook oracle is pure-int.  Each
-context carries a counter of data-dependent modular multiplications and
-additions; table precomputation at context build time is deliberately not
-counted.
+integers, built on each access.  Every coefficient input (ctx.poly,
+PolyVec, rns_decompose) goes through one conversion that accepts integers
+only, numpy integers included: a float raises TypeError.  The schoolbook
+oracle is pure-int.  Each context carries a counter of data-dependent
+modular multiplications and additions; table precomputation at context
+build time is deliberately not counted.
 
 Coefficient layout for the mixed ring: index e*m_cyclo + j holds the
 coefficient of x^j * prod(t_i for set bits i of e).  The evaluation domain
@@ -114,13 +116,14 @@ def _sqrt_mod(a: int, q: int) -> int:
     return s
 
 
-@dataclass
+@dataclass(eq=False)
 class RingContext:
     """Parameters plus precomputed tables for one modulus.
 
     Immutable after construction apart from the counter.  Use make_context;
     the constructor trusts its inputs.  The transform tables are arrays of
-    the dtype the kernels compute in (see the module docstring).
+    the dtype the kernels compute in (see the module docstring).  Compared
+    by identity: vectors combine only within one context.
     """
 
     q: int
@@ -166,7 +169,7 @@ class RingContext:
 
     def poly(self, values: Sequence[int], domain: Domain = Domain.COEFFICIENT) -> "PolyVec":
         """Reduce a length-m integer sequence mod q and wrap it."""
-        return _reduce(_int_array(values), self, domain)
+        return _reduce(_int_array(values, self), self, domain)
 
     def reset_counter(self):
         self.counter.reset()
@@ -175,24 +178,22 @@ class RingContext:
 class PolyVec:
     """Length-m residue vector with a domain tag, bound to its context.
 
-    The residues live in a read-only numpy array of the context's dtype;
+    The residues live in one read-only numpy array of the context's dtype;
     `values` is the same residues as a tuple of Python ints, built from the
-    array on first access and cached.  Immutable; equal when the residues,
-    the domain and the context are.
+    array on each access.  Direct construction takes integers already in
+    [0, q).  Immutable; equal when the residues are and the domain and the
+    context are the same objects.
     """
 
-    __slots__ = ("_arr", "_values", "domain", "ctx")
+    __slots__ = ("_arr", "domain", "ctx")
     __hash__ = None
 
     def __init__(self, values: Sequence[int], domain: Domain, ctx: RingContext):
-        values = tuple(map(operator.index, values))
-        if len(values) != ctx.m:
-            raise ValueError(f"expected {ctx.m} residues, got {len(values)}")
-        q = ctx.q
-        for v in values:
-            if not 0 <= v < q:
-                raise ValueError(f"residue {v} outside [0, {q})")
-        self._wrap(np.array(values, dtype=ctx._dtype), domain, ctx, values)
+        ints = _int_array(values, ctx)
+        bad = (ints < 0) | (ints >= ctx.q)
+        if bad.any():
+            raise ValueError(f"residue {ints[bad.argmax()]} outside [0, {ctx.q})")
+        self._wrap(ints.astype(ctx._dtype, copy=False), domain, ctx)
 
     @classmethod
     def _trusted(cls, arr: np.ndarray, domain: Domain, ctx: RingContext) -> "PolyVec":
@@ -200,20 +201,18 @@ class PolyVec:
         the checks of direct construction.  The PolyVec takes the array over
         and makes it read-only."""
         p = object.__new__(cls)
-        p._wrap(arr, domain, ctx, None)
+        p._wrap(arr, domain, ctx)
         return p
 
-    def _wrap(self, arr, domain, ctx, values):
+    def _wrap(self, arr, domain, ctx):
         arr.flags.writeable = False
-        for name, v in (("_arr", arr), ("_values", values), ("domain", domain), ("ctx", ctx)):
+        for name, v in (("_arr", arr), ("domain", domain), ("ctx", ctx)):
             object.__setattr__(self, name, v)
 
     @property
     def values(self) -> tuple:
         """The residues as a tuple of Python ints."""
-        if self._values is None:
-            object.__setattr__(self, "_values", tuple(self._arr.tolist()))
-        return self._values
+        return tuple(self._arr.tolist())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyVec is immutable; cannot assign {name}")
@@ -221,22 +220,24 @@ class PolyVec:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.domain, self.ctx) == (other.domain, other.ctx)
+        return (self.domain is other.domain and self.ctx is other.ctx
                 and np.array_equal(self._arr, other._arr))
 
     def __repr__(self):
         return f"PolyVec(values={self.values!r}, domain={self.domain!r}, ctx={self.ctx!r})"
 
 
-def _int_array(values) -> np.ndarray:
-    """Integers of any size as a 1-D object array of Python ints."""
-    return np.fromiter(map(int, values), dtype=object)
+def _int_array(values, ctx: RingContext) -> np.ndarray:
+    """ctx.m integers of any size as a 1-D object array of Python ints;
+    anything operator.index refuses (a float) raises TypeError."""
+    ints = np.fromiter(map(operator.index, values), dtype=object)
+    if ints.size != ctx.m:
+        raise ValueError(f"expected {ctx.m} residues, got {ints.size}")
+    return ints
 
 
 def _reduce(ints: np.ndarray, ctx: RingContext, domain: Domain = Domain.COEFFICIENT) -> PolyVec:
     """Wrap an object array of integers, reduced mod ctx.q."""
-    if ints.size != ctx.m:
-        raise ValueError(f"expected {ctx.m} residues, got {ints.size}")
     return PolyVec._trusted(np.remainder(ints, ctx.q).astype(ctx._dtype, copy=False),
                             domain, ctx)
 
@@ -567,11 +568,12 @@ def schoolbook_mul(a: PolyVec, b: PolyVec) -> PolyVec:
     q, mc, dprod = ctx.q, ctx.m_cyclo, ctx._dprod
     out = [0] * ctx.m
     muls = adds = 0
+    bv = b.values
     for i1, u in enumerate(a.values):
         if u == 0:
             continue
         e1, j1 = divmod(i1, mc)
-        for i2, v in enumerate(b.values):
+        for i2, v in enumerate(bv):
             e2, j2 = divmod(i2, mc)
             c = u * v % q
             muls += 1
@@ -591,11 +593,6 @@ def schoolbook_mul(a: PolyVec, b: PolyVec) -> PolyVec:
     return PolyVec(tuple(out), Domain.COEFFICIENT, ctx)
 
 
-def count_report(ctx: RingContext) -> dict:
-    """Totals since construction or the last reset_counter()."""
-    return {"muls": ctx.counter.muls, "adds": ctx.counter.adds}
-
-
 # ---------------------------------------------------------------------------
 # RNS layer: coefficient-wise CRT across several ring-compatible primes.
 
@@ -612,6 +609,8 @@ class RnsContext:
 def make_rns_context(moduli: Sequence[int], m_cyclo: int,
                      quad_d: Sequence[int] = ()) -> RnsContext:
     moduli = tuple(map(operator.index, moduli))
+    if not moduli:
+        raise ValueError("an RNS needs at least one modulus")
     if len(set(moduli)) != len(moduli):
         raise ValueError(f"moduli must be pairwise distinct, got {moduli}")
     ctxs = tuple(make_context(q, m_cyclo, quad_d) for q in moduli)
@@ -623,7 +622,7 @@ def make_rns_context(moduli: Sequence[int], m_cyclo: int,
 
 def rns_decompose(coeffs: Sequence[int], rns: RnsContext) -> List[PolyVec]:
     """Reduce arbitrary-precision coefficients into one PolyVec per modulus."""
-    ints = _int_array(coeffs)
+    ints = _int_array(coeffs, rns.contexts[0])
     return [_reduce(ints, ctx) for ctx in rns.contexts]
 
 

@@ -187,11 +187,9 @@ def test_hybrid_uses_power_basis_cyclotomic_part():
 
 
 def test_cap_refuses_large_dimensions():
-    spec = EmbeddingSpec(2**13 * 2)  # phi = 8192 > default cap 4096
+    spec = EmbeddingSpec(2**13 * 2)  # phi = 8192 > MAX_DIMENSION = 4096
     with pytest.raises(ValueError, match="exceeds the materialization cap"):
         embedding_matrix(spec)
-    with pytest.raises(ValueError, match="cap"):
-        embedding_matrix(EmbeddingSpec(7), cap=4)
     assert embedding_matrix(EmbeddingSpec(2**5)).shape == (16, 16)
 
 

@@ -6,6 +6,8 @@ mpmath at 200 bits is the oracle for anything the double/extended paths must
 approximate.
 """
 
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -117,6 +119,21 @@ def test_gemm_exact_dd_extreme_scales():
             mag = abs(want[i, j])
             if mag:
                 assert abs(got - want[i, j]) / mag <= 2.0**-88
+
+
+@pytest.mark.parametrize("n", [2, 128])
+def test_gemm_exact_dd_holds_sums_without_cancellation(n):
+    # parts in [0.5, 1), b's imaginary parts negated: all 2n chunk products
+    # of a real part add, the widest sum a chunk gemm must hold exactly
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.5, 1, (n, n)) + 1j * rng.uniform(0.5, 1, (n, n))
+    b = rng.uniform(0.5, 1, (n, n)) - 1j * rng.uniform(0.5, 1, (n, n))
+    hi, lo = linalg._gemm_exact_dd(a, b)
+    for i, j in rng.integers(0, n, (8, 2)):
+        want = sum(Fraction(x.real) * Fraction(y.real) - Fraction(x.imag) * Fraction(y.imag)
+                   for x, y in zip(a[i], b[:, j]))
+        got = Fraction(hi[i, j].real) + Fraction(lo[i, j].real)
+        assert abs(got - want) <= Fraction(2) ** -95 * want
 
 
 def test_two_sum_is_error_free():

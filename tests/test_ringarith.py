@@ -6,6 +6,7 @@ are asserted as exact integers against the closed forms.
 """
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,47 @@ def test_polyvec_validation():
         ra.PolyVec((0,) * 7 + (97,), ra.Domain.COEFFICIENT, ctx)
     with pytest.raises(ValueError):
         ra.PolyVec((0,) * 7 + (-1,), ra.Domain.COEFFICIENT, ctx)
+    with pytest.raises(ValueError, match=r"residue 98 outside \[0, 97\)"):
+        ra.PolyVec((0, 5, 98, -1, 0, 0, 0, 0), ra.Domain.COEFFICIENT, ctx)
+
+
+def test_coefficient_inputs_reject_floats_and_take_numpy_ints():
+    # one integer conversion behind every entry point: no silent truncation
+    ctx = ctx_cyclo()
+    rns = ra.make_rns_context((17, 97), 8)
+    floats = [1.9, 2.5, -0.5, 3.99, 0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(TypeError):
+        ctx.poly(floats)
+    with pytest.raises(TypeError):
+        ra.rns_decompose(floats, rns)
+    with pytest.raises(TypeError):
+        ra.PolyVec([float(v) for v in range(8)], ra.Domain.COEFFICIENT, ctx)
+    ints = np.arange(8, dtype=np.int64) * 31 - 100
+    want = tuple(int(v) % 97 for v in ints)
+    assert ctx.poly(ints).values == want
+    assert ctx.poly(list(ints)).values == want
+    assert ra.rns_decompose(ints, rns)[1].values == want
+    direct = ra.PolyVec(np.array(want, dtype=np.uint64), ra.Domain.COEFFICIENT, ctx)
+    assert direct == ctx.poly(want)
+
+
+def test_rns_rejects_empty_modulus_list():
+    with pytest.raises(ValueError):
+        ra.make_rns_context((), 4)
+
+
+def test_values_read_retains_nothing():
+    # .values is built on each read, not cached next to the array
+    ctx = ra.make_context(3221225473, 1 << 16)
+    a = ctx.poly(range(ctx.m))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(a.values) == ctx.m
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +217,11 @@ def test_ntt_counts_pinned_m8():
     a = ctx.poly(list(range(8)))
     ctx.reset_counter()
     ra.ntt_forward(a)
-    assert ra.count_report(ctx) == {"muls": 12, "adds": 24}
+    assert (ctx.counter.muls, ctx.counter.adds) == (12, 24)
     ctx.reset_counter()
     ra.ntt_inverse(ra.ntt_forward(a))
     # forward (m/2)log m + inverse (m/2)log m + m scaling muls
-    assert ra.count_report(ctx)["muls"] == 12 + 12 + 8
+    assert ctx.counter.muls == 12 + 12 + 8
 
 
 @pytest.mark.parametrize("m", [2, 4, 16, 64, 1024])
@@ -349,14 +391,13 @@ Q_OBJECT = 4611686018427379201
 
 
 def _closed_counts(ctx):
-    """(forward, inverse) as {"muls", "adds"} from the closed forms."""
+    """(forward, inverse) as (muls, adds) from the closed forms."""
     m, r, lg = ctx.m, ctx.r, ctx.m_cyclo.bit_length() - 1
     if r == 0:
-        return ({"muls": m // 2 * lg, "adds": m * lg},
-                {"muls": m // 2 * lg + m, "adds": m * lg})
+        return (m // 2 * lg, m * lg), (m // 2 * lg + m, m * lg)
     if ctx.m_cyclo == 1:  # the unit diagonal entry is not counted
-        return ({"muls": m - 1, "adds": r * m}, {"muls": m, "adds": r * m})
-    both = {"muls": m // 2 * lg + m, "adds": m * lg + r * m}
+        return (m - 1, r * m), (m, r * m)
+    both = (m // 2 * lg + m, m * lg + r * m)
     return both, both
 
 
@@ -374,11 +415,11 @@ def test_transforms_exact_at_both_dtypes(q, mc, ds):
     for a, b in [(top, top), (top, mixed), (mixed, rand_poly(ctx, rng))]:
         ctx.reset_counter()
         fa = fwd(a)
-        assert ra.count_report(ctx) == want_fwd
+        assert (ctx.counter.muls, ctx.counter.adds) == want_fwd
         assert all(type(v) is int and 0 <= v < q for v in fa.values)
         ctx.reset_counter()
         assert inv(fa).values == a.values
-        assert ra.count_report(ctx) == want_inv
+        assert (ctx.counter.muls, ctx.counter.adds) == want_inv
         via_transform = inv(ra.pointwise_mul(fa, fwd(b)))
         assert via_transform.values == ra.schoolbook_mul(a, b).values
 
@@ -477,7 +518,7 @@ def test_counter_reset_and_batching():
     ra.ntt_forward(a)
     assert ctx.counter.muls > 0
     ctx.reset_counter()
-    assert ra.count_report(ctx) == {"muls": 0, "adds": 0}
+    assert (ctx.counter.muls, ctx.counter.adds) == (0, 0)
 
 
 def test_pointwise_counts_one_mul_per_slot():
@@ -526,6 +567,9 @@ def test_polyvec_array_contract(q, mc, ds):
     assert (a == a.values) is False
     with pytest.raises(TypeError):
         hash(a)
+    # one store per vector; contexts compare by identity
+    assert ra.PolyVec.__slots__ == ("_arr", "domain", "ctx")
+    assert ra.RingContext.__eq__ is object.__eq__
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +685,11 @@ def test_stage_plans_match_natural_layout_kernels(q, mc, blocks):
     a = ctx.poly(x.tolist())
     ctx.reset_counter()
     fa = fwd(a)
-    assert ra.count_report(ctx) == want_fwd
+    assert (ctx.counter.muls, ctx.counter.adds) == want_fwd
     assert np.array_equal(fa._arr, _ref_forward(x, ctx))
     ctx.reset_counter()
     back = inv(fa)
-    assert ra.count_report(ctx) == want_inv
+    assert (ctx.counter.muls, ctx.counter.adds) == want_inv
     assert np.array_equal(back._arr, _ref_inverse(fa._arr, ctx))
     assert np.array_equal(back._arr, x)
 
