@@ -181,7 +181,7 @@ def twisted_vandermonde(n, *, real=np.float64) -> np.ndarray:
     out = None
     for p, e in c.factors:
         v = cyclotomic_vandermonde(p ** e, real=real)
-        out = v if out is None else linalg.kronecker(out, v)
+        out = v if out is None else np.kron(out, v)
     return out
 
 
@@ -224,7 +224,7 @@ def embedding_matrix(spec: EmbeddingSpec, *, real=np.float64) -> np.ndarray:
     else:
         out = cyclotomic_vandermonde(spec.conductor, real=real)
     for p in sorted(spec.quad_primes):
-        out = linalg.kronecker(out, quadratic_block(p, real=real))
+        out = np.kron(out, quadratic_block(p, real=real))
     return out
 
 

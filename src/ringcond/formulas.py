@@ -4,16 +4,17 @@ Every evaluator returns a BoundReport.  Reports carry the numeric value, an
 exact symbolic form c*sqrt(d) with rational c, d whenever the quantity has
 one, and a base-10 logarithm that stays finite even when the value itself
 overflows a double (the general bound reaches 10^360 around n = 10^5 with six
-prime factors).  Evaluators never raise on a hypothesis violation: they come
-back with applicable=False and a reason, so sweep loops can dispatch without
-try/except pyramids.
+prime factors).  A conductor outside a formula's hypotheses gives
+applicable=False and a reason, so sweep loops can dispatch without
+try/except pyramids.  Invalid arguments raise: ValueError for a non-prime p,
+bad quadratic primes or a coefficient height below 1.
 """
 from __future__ import annotations
 
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -181,9 +182,7 @@ def cond_bound_general(n, coeff_height=None) -> BoundReport:
     sym = SymbolicValue(Fraction(exact))
     rep = _from_symbolic(Kind.BOUND_GENERAL, sym, c, exponent=e)
     if math.isinf(rep.value):
-        rep = BoundReport(kind=rep.kind, value=rep.value, conductor=c,
-                          symbolic=sym, log10_value=rep.log10_value, exponent=e,
-                          reason="exceeds double range; log10_value and symbolic stay exact")
+        rep = replace(rep, reason="exceeds double range; log10_value and symbolic stay exact")
     return rep
 
 

@@ -1,21 +1,22 @@
 """Dense complex matrix kernel at the precision of its input arrays.
 
-Frobenius norms, Kronecker products, matrix inversion (LAPACK at double
-precision, a compensated double-double Newton refinement at extended
-precision, and a generic pivoted LU used for cross-checks and error
-reporting), plus Vandermonde construction and its explicit O(n^2) Lagrange
-inverse from a given polynomial and its derivative at the roots (the
-cyclotomic caller, `embeddings.cyclotomic_vandermonde_inverse`, passes the
-exact integer Phi_n and closed-form Phi_n'(zeta)).
+Frobenius norms, matrix inversion (LAPACK at double precision, a
+compensated double-double Newton refinement at extended precision, and a
+generic pivoted LU used for cross-checks and error reporting), plus
+Vandermonde construction and its explicit O(n^2) Lagrange inverse from a
+given polynomial and its derivative at the roots (the cyclotomic caller,
+`embeddings.cyclotomic_vandermonde_inverse`, passes the exact integer Phi_n
+and closed-form Phi_n'(zeta)).
 
 Precision model: matrices are plain numpy arrays and their dtype is their
 precision; there is no module state.  complex128 (``double``) uses LAPACK.
 clongdouble (``extended``, x87 80-bit storage) carries inversions at >= 106
-effective significand bits through error-free-split BLAS products, which
-on a single core is two orders of magnitude faster than scalar long-double
-loops.  Real input is promoted by its own dtype: float64 and integers to
-complex128, longdouble to clongdouble.  `PRECISIONS` maps the two names to
-their real dtypes.
+effective significand bits through error-free-split BLAS products, one
+gemm per anti-diagonal of mantissa-chunk pairs, which on a single core is
+two orders of magnitude faster than scalar long-double loops.  Real input
+is promoted by its own dtype: float64 and integers to complex128,
+longdouble to clongdouble.  `PRECISIONS` maps the two names to their real
+dtypes.
 """
 from __future__ import annotations
 
@@ -51,11 +52,6 @@ def frobenius(a):
     else:
         s = (a * a).sum()
     return np.sqrt(s)
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product, dtype-promoting block matrix (a_ij * b)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def _plain_lu_invert(a: np.ndarray) -> np.ndarray:
@@ -96,7 +92,7 @@ def _plain_lu_invert(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision inversion: LAPACK seed + one Newton step whose residual
+# Extended-precision inversion: LAPACK seed + Newton steps whose residual
 # I - A*X is computed exactly through error-free chunked BLAS products.
 
 
@@ -107,68 +103,69 @@ def _two_sum(a, b):
     return s, err
 
 
-def _split_chunks(m: np.ndarray, scale_exp: np.ndarray, t: int, k: int, axis: int):
-    """Split complex double matrix into k chunk matrices of <= t mantissa bits.
+def _split(m: np.ndarray, t: int, k: int):
+    """Split the rows of a complex double matrix into k chunks of t bits.
 
-    scale_exp holds per-row (axis=0) or per-column (axis=1) binary exponents;
-    chunk i carries bits [e - i*t, e - (i+1)*t) of each entry, exactly.
+    Row r is scaled by 2^-e[r] once (exact) so that all its parts lie in
+    (-1/2, 1/2).  Chunk i = 0..k-1 then peels the nearest multiple of
+    2^-(i+1)t off every part as (x + sigma) - sigma with
+    sigma = 1.5 * 2^(52 - (i+1)t), which rounds half to even exactly; each
+    chunk entry is at most 2^(t-1) of its unit.  Returns e and the list of
+    k chunk matrices.
     """
-    if axis == 0:
-        exp = scale_exp[:, None]
-    else:
-        exp = scale_exp[None, :]
+    x = np.ascontiguousarray(m).view(np.float64)  # re, im interleaved
+    e = np.frexp(np.abs(x).max(axis=1))[1] + 1
+    x = np.ldexp(x, -e[:, None])
     chunks = []
-    rr, ii = np.array(m.real), np.array(m.imag)
-    for i in range(1, k + 1):
-        sh = i * t - exp
-        qr = np.ldexp(np.round(np.ldexp(rr, sh)), -sh)
-        qi = np.ldexp(np.round(np.ldexp(ii, sh)), -sh)
-        rr = rr - qr
-        ii = ii - qi
-        chunks.append(qr + 1j * qi)
-    return chunks
-
-
-def _max_exponents(m: np.ndarray, axis: int) -> np.ndarray:
-    mx = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=1 - axis)
-    mx = np.where(mx == 0, 1.0, mx)
-    return np.ceil(np.log2(mx)).astype(np.int64)
+    for i in range(k):
+        sigma = 1.5 * 2.0 ** (52 - (i + 1) * t)
+        q = (x + sigma) - sigma
+        x = x - q
+        chunks.append(q.view(np.complex128))
+    return e, chunks
 
 
 def _gemm_exact_dd(a: np.ndarray, b: np.ndarray):
     """a @ b for complex128 inputs with ~2^-100 relative accuracy, as (hi, lo).
 
-    Entries are split into mantissa chunks narrow enough that every chunk
-    product accumulates exactly in a double-precision BLAS gemm: a real part
-    sums 2n products of up to 2^(2t) units, so 2t + 1 + log2(n) <= 53.  The
-    partial products are then recombined with compensated summation.
+    Rows of a and columns of b are split into k = ceil(53/t) + 1 chunks of
+    t bits (`_split`).  Chunk products with i + j = s share one unit, so each
+    anti-diagonal s = 0..k is one gemm of a's chunks side by side against
+    b's stacked in reverse order: k + 1 gemms; pairs with i + j > k lie below
+    2^-(k+1)t and are dropped (Ozaki, Ogita, Oishi, Rump 2012).  A real part
+    sums at most k pairs times 2n products of at most 2^(2t-2) units, so
+    2t - 1 + log2(kn) <= 53 keeps every gemm exact (t = 21, k = 4 at
+    n = 480).  The anti-diagonal sums are recombined with compensated
+    summation and scaled back by 2^(e_a[r] + e_b[c]).
     """
     n = a.shape[1]
-    t = max((52 - int(np.ceil(np.log2(max(n, 2))))) // 2, 8)
-    k = int(np.ceil(53.0 / t)) + 1
-    ea = _max_exponents(a, axis=0)
-    eb = _max_exponents(b, axis=1)
-    ca = _split_chunks(a, ea, t, k, axis=0)
-    cb = _split_chunks(b, eb, t, k, axis=1)
-    hi = np.zeros_like(a, shape=(a.shape[0], b.shape[1]))
-    lo = np.zeros_like(hi)
-    for i in range(k):
-        for j in range(k):
-            if i + j > k:
-                continue  # below 2^-(t*(k+1)) of the result scale
-            p = ca[i] @ cb[j]
-            hi, e = _two_sum(hi, p)
-            lo = lo + e
-    hi, e = _two_sum(hi, lo)
-    return hi, e
+    for t in range(26, 0, -1):  # the widest t that keeps every gemm exact
+        k = -(-53 // t) + 1
+        if k * n <= 2 ** (54 - 2 * t):
+            break
+    ea, ca = _split(a, t, k)
+    eb, cb = _split(b.T, t, k)
+    ca = np.concatenate(ca, axis=1)
+    cb = np.concatenate(cb[::-1], axis=1).T
+    hi = lo = 0
+    for s in range(k + 1):
+        i0, i1 = max(0, s - k + 1), min(s, k - 1)
+        p = ca[:, i0 * n:(i1 + 1) * n] @ cb[(k - 1 - s + i0) * n:(k - s + i1) * n]
+        hi, e = _two_sum(hi, p)
+        lo = lo + e
+    hi, lo = _two_sum(hi, lo)
+    scale = np.exp2(ea[:, None] + eb[None, :])
+    return hi * scale, lo * scale
 
 
 def _invert_extended(a: np.ndarray) -> np.ndarray:
     """Inverse of a clongdouble matrix to better than extended accuracy.
 
-    LAPACK double inverse, then Newton refinement X <- X + X(I - AX) with the
-    residual computed in ~106-bit compensated arithmetic.  Falls back to the
-    in-dtype LU when LAPACK flags singularity or refinement cannot contract.
+    LAPACK double inverse, then up to two Newton steps X <- X + X(I - AX)
+    with the residual R computed in ~106-bit compensated arithmetic and XR
+    in double: R is far below 1, so XR's rounding lies far below extended
+    precision.  Falls back to the in-dtype LU when LAPACK flags singularity
+    or refinement cannot contract.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -189,10 +186,8 @@ def _invert_extended(a: np.ndarray) -> np.ndarray:
         rnorm = float(np.abs(frobenius(r_hi + r_lo)))
         if rnorm > 0.25 * np.sqrt(n):
             return _plain_lu_invert(a)  # LAPACK seed too inaccurate to refine
-        dx = xhi @ r_hi
-        dx_lo = xhi @ r_lo if xlo is None else xlo @ r_hi + xhi @ r_lo
-        xhi, e = _two_sum(xhi, dx)
-        xlo = (e if xlo is None else xlo + e) + dx_lo
+        xhi, e = _two_sum(xhi, xhi @ (r_hi + r_lo))
+        xlo = e if xlo is None else xlo + e
         if rnorm < 1e-9 * n:
             break
     return xhi.astype(np.clongdouble) + xlo.astype(np.clongdouble)

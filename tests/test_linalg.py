@@ -26,13 +26,15 @@ def _oracle_precision():
 
 
 def _mp_matrix(a):
-    """numpy complex matrix -> exact mpmath matrix (doubles embed exactly)."""
+    """numpy complex matrix -> exact mpmath matrix (doubles embed exactly; a
+    clongdouble entry is the sum of its nearest double and a double rest)."""
     n, m = a.shape
     out = mpmath.matrix(n, m)
     for i in range(n):
         for j in range(m):
-            v = complex(a[i, j])
-            out[i, j] = mpmath.mpc(v.real, v.imag)
+            hi = complex(np.complex128(a[i, j]))
+            lo = complex(a[i, j] - np.complex128(hi))
+            out[i, j] = mpmath.mpc(hi.real, hi.imag) + mpmath.mpc(lo.real, lo.imag)
     return out
 
 
@@ -46,7 +48,7 @@ def _rand_complex(n, rng_seed=7):
 
 
 # ---------------------------------------------------------------------------
-# frobenius / kronecker
+# frobenius / Kronecker products
 
 
 def test_frobenius_known_values():
@@ -60,7 +62,7 @@ def test_frobenius_known_values():
 def test_frobenius_multiplicative_under_kron():
     a = _rand_complex(5, 1)
     b = _rand_complex(3, 2)
-    k = linalg.kronecker(a, b)
+    k = np.kron(a, b)
     assert k.shape == (15, 15)
     assert linalg.frobenius(k) == pytest.approx(
         linalg.frobenius(a) * linalg.frobenius(b), rel=1e-13
@@ -70,7 +72,7 @@ def test_frobenius_multiplicative_under_kron():
 def test_kronecker_block_structure():
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[0, 5], [6, 7]])
-    k = linalg.kronecker(a, b)
+    k = np.kron(a, b)
     assert np.array_equal(k[:2, 2:], 2 * b)
     assert np.array_equal(k[2:, :2], 3 * b)
 
@@ -78,7 +80,7 @@ def test_kronecker_block_structure():
 def test_condition_number_multiplicative_under_kron():
     a = _rand_complex(4, 3)
     b = _rand_complex(5, 4)
-    got = linalg.condition_number(linalg.kronecker(a, b))
+    got = linalg.condition_number(np.kron(a, b))
     want = linalg.condition_number(a) * linalg.condition_number(b)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -121,10 +123,11 @@ def test_gemm_exact_dd_extreme_scales():
                 assert abs(got - want[i, j]) / mag <= 2.0**-88
 
 
-@pytest.mark.parametrize("n", [2, 128])
+@pytest.mark.parametrize("n", [2, 128, 1024])
 def test_gemm_exact_dd_holds_sums_without_cancellation(n):
     # parts in [0.5, 1), b's imaginary parts negated: all 2n chunk products
-    # of a real part add, the widest sum a chunk gemm must hold exactly
+    # of a real part add, the widest sum a chunk gemm must hold exactly; at
+    # n = 1024 the width rule 2t - 1 + log2(kn) <= 53 is met with equality
     rng = np.random.default_rng(0)
     a = rng.uniform(0.5, 1, (n, n)) + 1j * rng.uniform(0.5, 1, (n, n))
     b = rng.uniform(0.5, 1, (n, n)) - 1j * rng.uniform(0.5, 1, (n, n))
@@ -186,16 +189,39 @@ def test_invert_extended_beats_double(n):
     x = linalg.invert(a.astype(np.clongdouble))
     assert x.dtype == np.clongdouble
     # residual measured at 200 bits against the exact doubles inside a
-    mp_a = _mp_matrix(a.astype(np.complex128))
-    mp_x = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            hi = complex(np.complex128(x[i, j]))
-            lo = complex(np.complex128(x[i, j] - np.clongdouble(hi)))
-            mp_x[i, j] = mpmath.mpc(hi.real, hi.imag) + mpmath.mpc(lo.real, lo.imag)
+    mp_a, mp_x = _mp_matrix(a), _mp_matrix(x)
     r = mpmath.eye(n) - mp_a * mp_x
     # well under double roundoff: the refinement really added bits
     assert _mp_norm(r) <= 1e-17 * _mp_norm(mp_x) * _mp_norm(mp_a)
+
+
+def test_invert_extended_second_newton_pass(monkeypatch):
+    # kappa_F ~ 1e13: the first pass leaves a residual above 1e-9 n, so a
+    # second pass runs with a nonzero lo part of X; alo != 0 as well
+    pts = np.arange(12, dtype=np.longdouble) / np.longdouble(33)
+    a = linalg.vandermonde(pts.astype(np.clongdouble))
+    assert np.any(a != a.astype(np.complex128))
+    calls = []
+    gemm = linalg._gemm_exact_dd
+
+    def spy(x, y):
+        calls.append(1)
+        return gemm(x, y)
+
+    def no_lu(x):
+        raise AssertionError("the LU fallback must not engage")
+
+    monkeypatch.setattr(linalg, "_gemm_exact_dd", spy)
+    monkeypatch.setattr(linalg, "_plain_lu_invert", no_lu)
+    x = linalg.invert(a)
+    assert len(calls) == 2
+    mp_a, mp_x = _mp_matrix(a), _mp_matrix(x)
+    r = mpmath.eye(12) - mp_a * mp_x
+    eps = float(np.finfo(np.longdouble).eps)
+    assert _mp_norm(r) <= eps * _mp_norm(mp_a) * _mp_norm(mp_x)
+    # and X is A^-1 up to the clongdouble rounding of its entries
+    inv = mp_a**-1
+    assert _mp_norm(mp_x - inv) <= 4 * eps * _mp_norm(inv)
 
 
 def test_invert_extended_falls_back_when_seed_cannot_refine(monkeypatch):
