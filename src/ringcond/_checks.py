@@ -315,7 +315,7 @@ def check_inverse_entry_bound(n_max: int = 2000, phi_cap: int = 256) -> List[str
         if c.phi > phi_cap:
             continue
         roots = embeddings.primitive_roots_of_unity(n)
-        w = linalg.invert(linalg.vandermonde(roots))
+        w = linalg.invert(embeddings.cyclotomic_vandermonde(n))
         denom = np.abs(_phi_derivative_at(c.rad, roots.astype(np.complex128) ** (n // c.rad)))
         bound = c.rad * (height(n) + 1) / denom
         mags = np.abs(np.asarray(w, dtype=np.complex128))

@@ -12,11 +12,15 @@ Kronecker product: kappa_F(A (x) B) = kappa_F(A) kappa_F(B) holds exactly
 (the Frobenius norm is multiplicative under (x), and (A (x) B)^-1 =
 A^-1 (x) B^-1), so it multiplies the condition numbers of the factors.  Each
 cyclotomic Vandermonde is inverted in O(phi^2) by
-`cyclotomic_vandermonde_inverse`, the one explicit inverse in the package:
-`linalg.lagrange_inverse` divides the exact integer Phi_n synthetically by
-(x - zeta) for every root at once, over the closed-form derivatives
-Phi_n'(zeta).  The numeric columns of `ringcond cond` come from
-`factored_cond`.
+`cyclotomic_vandermonde_inverse`, the one explicit inverse in the package: it
+divides the exact integer Phi_n synthetically by (x - zeta) for every root at
+once, over the closed-form derivatives Phi_n'(zeta).  The numeric columns of
+`ringcond cond` come from `factored_cond`.
+
+Every Vandermonde is built here from a validated conductor, so its roots are
+distinct by construction: primitive n-th roots lie at least 2 sin(pi/n)
+apart.  The Vandermonde builders refuse phi(n) > MAX_DIMENSION before they
+allocate.
 
 Ordering conventions (the matrices, unlike their condition numbers, depend on
 them): primitive roots are enumerated by ascending residue k with
@@ -142,9 +146,25 @@ def _cyclotomic_derivative(c: Conductor, *, real=np.float64) -> np.ndarray:
     return amp * (np.cos(theta) + np.sin(theta) * np.promote_types(real, np.complex128).type(1j))
 
 
+def _vandermonde_conductor(n) -> Conductor:
+    # the conductor of a phi(n) x phi(n) Vandermonde, checked before allocation
+    c = as_conductor(n)
+    if c.phi > MAX_DIMENSION:
+        raise ValueError(
+            f"Vandermonde factor of dimension {c.phi} exceeds the cap {MAX_DIMENSION}"
+        )
+    return c
+
+
 def cyclotomic_vandermonde(n, *, real=np.float64) -> np.ndarray:
-    """phi(n) x phi(n) Vandermonde on the primitive n-th roots of unity."""
-    return linalg.vandermonde(primitive_roots_of_unity(n, real=real))
+    """phi(n) x phi(n) Vandermonde on the primitive n-th roots of unity:
+    row i is (1, zeta_i, zeta_i^2, ...), one column recurrence."""
+    roots = primitive_roots_of_unity(_vandermonde_conductor(n), real=real)
+    v = np.empty((roots.size, roots.size), dtype=roots.dtype)
+    v[:, 0] = 1
+    for j in range(1, roots.size):
+        v[:, j] = v[:, j - 1] * roots
+    return v
 
 
 def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
@@ -162,20 +182,28 @@ def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
 def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
     """Inverse of `cyclotomic_vandermonde(n)` in O(phi(n)^2).
 
-    `linalg.lagrange_inverse` on the exact integer Phi_n, cast to `real`
-    without rounding, over the closed-form derivatives Phi_n'(zeta).
+    Column j holds the coefficients of the Lagrange basis polynomial
+    Phi_n / ((x - zeta_j) Phi_n'(zeta_j)): one synthetic division of the exact
+    integer Phi_n, cast to `real` without rounding, vectorized across all
+    columns, over the closed-form derivatives Phi_n'(zeta_j).
     """
-    c = as_conductor(n)
-    return linalg.lagrange_inverse(primitive_roots_of_unity(c, real=real),
-                                   _exact_cast(cyclotomic_poly(c.n), real),
-                                   _cyclotomic_derivative(c, real=real))
+    c = _vandermonde_conductor(n)
+    roots = primitive_roots_of_unity(c, real=real)
+    p = _exact_cast(cyclotomic_poly(c.n), real)
+    q = np.empty((c.phi, c.phi), dtype=roots.dtype)
+    q[-1] = 1  # Phi_n is monic
+    for i in range(c.phi - 2, -1, -1):
+        np.multiply(roots, q[i + 1], out=q[i])
+        q[i] += p[i + 1]
+    q /= _cyclotomic_derivative(c, real=real)
+    return q
 
 
 def twisted_vandermonde(n, *, real=np.float64) -> np.ndarray:
     """Kronecker product of cyclotomic Vandermondes over the prime-power
     parts of n, ascending primes.  For a prime power this is just the
     cyclotomic Vandermonde itself."""
-    c = as_conductor(n)
+    c = _vandermonde_conductor(n)
     if c.n < 2:
         raise ValueError("need a conductor n >= 2")
     out = None
@@ -236,10 +264,6 @@ def numeric_cond(spec: EmbeddingSpec, *, real=np.float64):
 def _cyclotomic_cond(n: int, *, real=np.float64):
     # ||V||_F = phi(n) exactly: every entry of V lies on the unit circle
     c = as_conductor(n)
-    if c.phi > MAX_DIMENSION:
-        raise ValueError(
-            f"Vandermonde factor of dimension {c.phi} exceeds the cap {MAX_DIMENSION}"
-        )
     return c.phi * linalg.frobenius(cyclotomic_vandermonde_inverse(c, real=real))
 
 

@@ -193,6 +193,14 @@ def test_cap_refuses_large_dimensions():
     assert embedding_matrix(EmbeddingSpec(2**5)).shape == (16, 16)
 
 
+def test_vandermonde_builders_refuse_dimensions_past_the_cap():
+    # 4099 is prime, so phi = 4098 > MAX_DIMENSION; refused before allocation
+    for build in (cyclotomic_vandermonde, embeddings.cyclotomic_vandermonde_inverse,
+                  twisted_vandermonde):
+        with pytest.raises(ValueError, match="dimension 4098 exceeds the cap 4096"):
+            build(4099)
+
+
 def test_numeric_cond_anchors():
     # power-of-two conductor: cond(V) = phi(n) exactly
     assert numeric_cond(EmbeddingSpec(16)) == pytest.approx(8.0, rel=1e-12)

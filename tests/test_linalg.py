@@ -1,6 +1,6 @@
 """Matrix kernel: precision carried by the dtype, exact compensated products,
-inversion paths, the duplicate-root check, and the explicit Lagrange
-Vandermonde inverse on generic and on exact cyclotomic polynomials.
+inversion paths, and the residual of the explicit Lagrange inverse of the
+cyclotomic Vandermonde against the dense condition number.
 
 mpmath at 200 bits is the oracle for anything the double/extended paths must
 approximate.
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from ringcond import linalg
-from ringcond.embeddings import primitive_roots_of_unity
-from ringcond.numtheory import cyclotomic_poly
+from ringcond.embeddings import cyclotomic_vandermonde, cyclotomic_vandermonde_inverse
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +44,16 @@ def _mp_norm(m):
 def _rand_complex(n, rng_seed=7):
     rng = np.random.default_rng(rng_seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _vandermonde(roots):
+    """Row i = (1, r_i, r_i^2, ...), by the column recurrence of
+    `embeddings.cyclotomic_vandermonde`, on any complex roots."""
+    v = np.empty((roots.size, roots.size), dtype=roots.dtype)
+    v[:, 0] = 1
+    for j in range(1, roots.size):
+        v[:, j] = v[:, j - 1] * roots
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +148,32 @@ def test_gemm_exact_dd_holds_sums_without_cancellation(n):
         assert abs(got - want) <= Fraction(2) ** -95 * want
 
 
+def test_gemm_exact_dd_holds_full_anti_diagonals():
+    # every part is c_0 2^-22 + c_1 2^-44 + c_2 2^-66 with each c_i just below
+    # 2^21: positive chunks of width t = 22 near 2^(t-1), and b's imaginary
+    # parts negated, so each of a chunk gemm's pairs adds 2n products near
+    # 2^(2t-2).  At n = 1024 a width rule without the factor k would pick
+    # t = 22 and overflow 53 bits; the real rule picks t = 21.
+    n, t = 1024, 22
+    rng = np.random.default_rng(5)
+
+    def parts():
+        top = 2 ** (t - 1)
+        c0 = rng.integers(top - 2 ** 17, top, (n, n))
+        c1 = rng.integers(top - 2 ** 17, top, (n, n))
+        c2 = top - 2 ** 12 * rng.integers(1, 32, (n, n))  # the 53-bit part ends at 2^-54
+        return np.ldexp(c0, -t) + np.ldexp(c1, -2 * t) + np.ldexp(c2, -3 * t)
+
+    a = parts() + 1j * parts()
+    b = parts() - 1j * parts()
+    hi, lo = linalg._gemm_exact_dd(a, b)
+    for i, j in rng.integers(0, n, (8, 2)):
+        want = sum(Fraction(x.real) * Fraction(y.real) - Fraction(x.imag) * Fraction(y.imag)
+                   for x, y in zip(a[i], b[:, j]))
+        got = Fraction(hi[i, j].real) + Fraction(lo[i, j].real)
+        assert abs(got - want) <= Fraction(2) ** -95 * want
+
+
 def test_two_sum_is_error_free():
     a = np.float64(1.0)
     b = np.float64(2.0**-60)
@@ -169,6 +204,12 @@ def test_invert_real_input_promotes():
         assert np.allclose(x.astype(np.complex128), np.diag([0.5, 0.25]))
 
 
+def test_invert_empty_matrix_at_both_precisions():
+    for dtype in (np.complex128, np.clongdouble):
+        x = linalg.invert(np.zeros((0, 0), dtype=dtype))
+        assert x.shape == (0, 0) and x.dtype == dtype
+
+
 def test_invert_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.invert(np.ones((2, 3)))
@@ -185,7 +226,7 @@ def test_invert_singular_reports_pivot():
 @pytest.mark.parametrize("n", [3, 8, 20])
 def test_invert_extended_beats_double(n):
     roots = np.exp(2j * np.pi * np.arange(n) / (2 * n + 1))
-    a = linalg.vandermonde(roots)
+    a = _vandermonde(roots)
     x = linalg.invert(a.astype(np.clongdouble))
     assert x.dtype == np.clongdouble
     # residual measured at 200 bits against the exact doubles inside a
@@ -199,7 +240,7 @@ def test_invert_extended_second_newton_pass(monkeypatch):
     # kappa_F ~ 1e13: the first pass leaves a residual above 1e-9 n, so a
     # second pass runs with a nonzero lo part of X; alo != 0 as well
     pts = np.arange(12, dtype=np.longdouble) / np.longdouble(33)
-    a = linalg.vandermonde(pts.astype(np.clongdouble))
+    a = _vandermonde(pts.astype(np.clongdouble))
     assert np.any(a != a.astype(np.complex128))
     calls = []
     gemm = linalg._gemm_exact_dd
@@ -249,102 +290,7 @@ def test_plain_lu_matches_lapack():
 
 
 # ---------------------------------------------------------------------------
-# Vandermonde and its explicit Lagrange inverse
-
-
-def test_vandermonde_layout():
-    v = linalg.vandermonde([2.0, 3.0])
-    assert np.allclose(v, [[1, 2], [1, 3]])
-    v = linalg.vandermonde(np.array([1j]))
-    assert v.shape == (1, 1) and v[0, 0] == 1
-
-
-def test_vandermonde_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate roots"):
-        linalg.vandermonde([1.0, 2.0, 1.0 + 1e-15])
-    # distinct but close: must pass
-    linalg.vandermonde([1.0, 1.0 + 1e-9])
-
-
-@pytest.mark.parametrize("k", [-40, 0, 40])
-def test_duplicate_tolerance_is_inclusive_and_relative(k):
-    # the tolerance is 1e-12 * max|r| and a gap equal to it is a duplicate;
-    # scaling by a power of two keeps every gap and tolerance exact
-    gap = 1e-12
-    for roots, rejected in [
-        ([gap, 0.0, 1.0], True),                      # gap == tol
-        ([np.nextafter(gap, 1.0), 0.0, 1.0], False),  # one ulp above tol
-        ([gap, 0.0, 1j], True),                       # max|r| is the modulus
-        ([gap, 0.0, 2.0], True),                      # tol = 2e-12
-        ([gap, 0.0, 0.5], False),                     # tol = 5e-13
-    ]:
-        roots = np.asarray(roots, dtype=np.complex128) * 2.0**k
-        if rejected:
-            with pytest.raises(ValueError, match=r"\|roots\[0\] - roots\[1\]\|"):
-                linalg.vandermonde(roots)
-        else:
-            linalg.vandermonde(roots)
-
-
-def test_duplicate_tolerance_floor_for_tiny_roots():
-    # below max|r| = 1e-300 the tolerance stops shrinking at 1e-312
-    with pytest.raises(ValueError, match="duplicate roots"):
-        linalg.vandermonde([0.0, 5e-313])
-    linalg.vandermonde([0.0, 2e-312])
-
-
-def test_duplicate_report_names_first_row_and_its_nearest_root():
-    # rows 1 and 2 both hold duplicates; row 1 is reported, with its nearest
-    # root (index 4, an exact copy) rather than its first one within the
-    # tolerance (index 3)
-    roots = [7.0, 1.0, 2.0, 1.0 + 1e-13, 1.0, 2.0]
-    with pytest.raises(ValueError, match=r"\|roots\[1\] - roots\[4\]\| = 0\.000e\+00"):
-        linalg.vandermonde(roots)
-
-
-def test_vandermonde_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        linalg.vandermonde(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        linalg.vandermonde([])
-
-
-def _root_products(roots):
-    # P'(r_j) = prod_{k != j} (r_j - r_k), straight from the definition
-    return np.array([np.prod(z - np.delete(roots, j)) for j, z in enumerate(roots)])
-
-
-def _generic_lagrange_inverse(roots):
-    # arbitrary roots: P from np.poly, P'(r_j) from the root products
-    roots = np.asarray(roots)
-    roots = roots.astype(np.promote_types(roots.dtype, np.complex128))
-    return linalg.lagrange_inverse(roots, np.poly(roots)[::-1], _root_products(roots))
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
-def test_explicit_inverse_is_inverse(n):
-    rng = np.random.default_rng(n)
-    roots = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = linalg.vandermonde(roots)
-    w = _generic_lagrange_inverse(roots)
-    cond = linalg.condition_number(v)
-    assert linalg.frobenius(v @ w - np.eye(n)) <= 1e-13 * cond
-
-
-def test_explicit_inverse_matches_exact_rationals():
-    # integer roots: the exact inverse has rational entries computable by hand
-    roots = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(np.poly(roots)[::-1], [-6.0, 11.0, -6.0, 1.0])
-    w = _generic_lagrange_inverse(roots)
-    want = np.array([[3.0, -3.0, 1.0], [-2.5, 4.0, -1.5], [0.5, -1.0, 0.5]])
-    assert np.allclose(w, want, atol=1e-13)
-
-
-def test_explicit_inverse_extended_dtype():
-    roots = np.array([1.0, 2.0, 4.0], dtype=np.longdouble)
-    assert linalg.vandermonde(roots).dtype == np.clongdouble
-    assert _generic_lagrange_inverse(roots).dtype == np.clongdouble
-    assert _generic_lagrange_inverse([1.0, 2.0, 4.0]).dtype == np.complex128
+# the explicit Lagrange inverse of the cyclotomic Vandermonde
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
@@ -352,32 +298,8 @@ def test_explicit_inverse_extended_dtype():
 def test_lagrange_inverse_of_exact_cyclotomic_has_small_residual(n, precision):
     # ||V W - I||_F <= 100 eps kappa_F(V), with kappa_F from the dense inverse
     real = linalg.PRECISIONS[precision]
-    roots = primitive_roots_of_unity(n, real=real)
-    w = linalg.lagrange_inverse(roots, cyclotomic_poly(n).astype(real),
-                                _root_products(roots))
-    v = linalg.vandermonde(roots)
+    v = cyclotomic_vandermonde(n, real=real)
+    w = cyclotomic_vandermonde_inverse(n, real=real)
     assert w.dtype == v.dtype
-    resid = linalg.frobenius(v @ w - np.eye(roots.size, dtype=v.dtype))
+    resid = linalg.frobenius(v @ w - np.eye(v.shape[0], dtype=v.dtype))
     assert resid <= 100 * np.finfo(real).eps * linalg.condition_number(v)
-
-
-def test_lagrange_inverse_validates_its_inputs():
-    roots = primitive_roots_of_unity(12)
-    poly = cyclotomic_poly(12).astype(np.float64)
-    deriv = _root_products(roots)
-    bad_calls = [
-        lambda: linalg.lagrange_inverse(roots, cyclotomic_poly(12), deriv),  # int64
-        lambda: linalg.lagrange_inverse(roots, poly.astype(np.float32), deriv),
-        lambda: linalg.lagrange_inverse(roots.astype(np.clongdouble), poly, deriv),
-        lambda: linalg.lagrange_inverse(roots, poly[:-1], deriv),
-        lambda: linalg.lagrange_inverse(roots, 2 * poly, deriv),  # not monic
-        lambda: linalg.lagrange_inverse(np.r_[roots[:3], roots[0]],
-                                        np.array([1.0, 0, 0, 0, 1]), deriv),  # duplicate
-        lambda: linalg.lagrange_inverse(roots, poly, deriv[:3]),
-        lambda: linalg.lagrange_inverse(roots, poly, deriv.real),
-    ]
-    for call in bad_calls:
-        with pytest.raises(ValueError):
-            call()
-    w = linalg.lagrange_inverse(roots, poly.astype(roots.dtype), deriv)
-    assert np.allclose(linalg.vandermonde(roots) @ w, np.eye(4), atol=1e-14)
