@@ -11,11 +11,16 @@ extended precision); it is the reference.  `factored_cond` never builds the
 Kronecker product: kappa_F(A (x) B) = kappa_F(A) kappa_F(B) holds exactly
 (the Frobenius norm is multiplicative under (x), and (A (x) B)^-1 =
 A^-1 (x) B^-1), so it multiplies the condition numbers of the factors.  Each
-cyclotomic Vandermonde is inverted in O(phi^2) by
-`cyclotomic_vandermonde_inverse`, the one explicit inverse in the package: it
-divides the exact integer Phi_n synthetically by (x - zeta) for every root at
-once, over the closed-form derivatives Phi_n'(zeta).  The numeric columns of
-`ringcond cond` come from `factored_cond`.
+cyclotomic Vandermonde factor V_n is reduced to its odd squarefree kernel s,
+the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n / rad n)) and
+Phi_2s(x) = Phi_s(-x) give kappa_F(V_n) = (n / rad n) kappa_F(V_s) exactly,
+and the conjugate root's column of V_s^-1 is the conjugate column, so only
+the phi(s)/2 columns of the roots k < s/2 are computed.  They come from the
+O(phi^2) Lagrange formula of `cyclotomic_vandermonde_inverse`, the one
+explicit inverse in the package: it divides the exact integer Phi_s
+synthetically by (x - zeta) for every root at once, over the closed-form
+derivatives Phi_s'(zeta).  The numeric columns of `ringcond cond` come from
+`factored_cond`.
 
 Every Vandermonde is built here from a validated conductor, so its roots are
 distinct by construction: primitive n-th roots lie at least 2 sin(pi/n)
@@ -179,6 +184,20 @@ def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
     return out
 
 
+def _lagrange_columns(c: Conductor, cols: int, real) -> np.ndarray:
+    # the first `cols` columns of V_n^-1: one synthetic division of the exact
+    # Phi_n by (x - zeta_j), vectorized across those roots, over Phi_n'(zeta_j)
+    roots = primitive_roots_of_unity(c, real=real)[:cols]
+    p = _exact_cast(cyclotomic_poly(c.n), real)
+    q = np.empty((c.phi, cols), dtype=roots.dtype)
+    q[-1] = 1  # Phi_n is monic
+    for i in range(c.phi - 2, -1, -1):
+        np.multiply(roots, q[i + 1], out=q[i])
+        q[i] += p[i + 1]
+    q /= _cyclotomic_derivative(c, real=real)[:cols]
+    return q
+
+
 def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
     """Inverse of `cyclotomic_vandermonde(n)` in O(phi(n)^2).
 
@@ -188,15 +207,7 @@ def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
     columns, over the closed-form derivatives Phi_n'(zeta_j).
     """
     c = _vandermonde_conductor(n)
-    roots = primitive_roots_of_unity(c, real=real)
-    p = _exact_cast(cyclotomic_poly(c.n), real)
-    q = np.empty((c.phi, c.phi), dtype=roots.dtype)
-    q[-1] = 1  # Phi_n is monic
-    for i in range(c.phi - 2, -1, -1):
-        np.multiply(roots, q[i + 1], out=q[i])
-        q[i] += p[i + 1]
-    q /= _cyclotomic_derivative(c, real=real)
-    return q
+    return _lagrange_columns(c, c.phi, real)
 
 
 def twisted_vandermonde(n, *, real=np.float64) -> np.ndarray:
@@ -262,21 +273,34 @@ def numeric_cond(spec: EmbeddingSpec, *, real=np.float64):
 
 
 def _cyclotomic_cond(n: int, *, real=np.float64):
-    # ||V||_F = phi(n) exactly: every entry of V lies on the unit circle
-    c = as_conductor(n)
-    return c.phi * linalg.frobenius(cyclotomic_vandermonde_inverse(c, real=real))
+    # (n / rad n) kappa_F(V_s) for s the odd part of rad n (see factored_cond).
+    # The guards run on n itself: a kernel s = 1 builds no Vandermonde.
+    _check_real(real)
+    c = _vandermonde_conductor(n)
+    if c.n < 2:
+        raise ValueError("need a conductor n >= 2")
+    k = as_conductor(c.rad // 2 if c.n % 2 == 0 else c.rad)
+    if k.n == 1:
+        return real(c.n // c.rad)
+    w = _lagrange_columns(k, k.phi // 2, real)
+    return real(c.n // c.rad * k.phi) * np.sqrt(real(2)) * linalg.frobenius(w)
 
 
 def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix, by factors.
 
     Equals `numeric_cond(spec)` up to rounding, in O(d^2) time and memory for
-    the largest Vandermonde factor of dimension d: power basis ->
-    phi(n) * ||V^-1||_F; twisted -> the product of that over the prime-power
-    parts of n; hybrid -> the power value of n; each quadratic prime
-    multiplies in the condition number of its 2x2 block.  A Vandermonde
-    factor above MAX_DIMENSION is refused, as `embedding_matrix` refuses the
-    whole matrix.
+    the largest Vandermonde kernel of dimension d: power basis ->
+    kappa_F(V_n); twisted -> the product of that over the prime-power parts
+    of n; hybrid -> the power value of n; each quadratic prime multiplies in
+    the condition number of its 2x2 block.  Each kappa_F(V_n) is
+    (n / rad n) kappa_F(V_s) with s the odd part of rad n (Phi_n(x) =
+    Phi_rad n(x^(n / rad n)), Phi_2s(x) = Phi_s(-x)), and kappa_F(V_s) =
+    phi(s) sqrt(2) ||W||_F from the half W of the columns of V_s^-1 whose
+    roots lie in the upper half-plane (kappa_F(V_1) = 1); so a twisted
+    prime-power factor p^e costs kappa_F(V_p), and n = 2^e no division.  A
+    Vandermonde factor with phi(n) above MAX_DIMENSION is refused, whatever
+    its kernel, as `embedding_matrix` refuses the whole matrix.
     """
     c = spec.conductor
     if spec.basis == Basis.TWISTED:

@@ -36,6 +36,9 @@ from ringcond.numtheory import cyclotomic_poly, factorize, first_primes
 def test_primitive_roots_reject_trivial_conductor():
     with pytest.raises(ValueError):
         primitive_roots_of_unity(1)
+    # the kernel of 1 is 1 too, so factored_cond checks n >= 2 itself
+    with pytest.raises(ValueError, match="n >= 2"):
+        factored_cond(EmbeddingSpec(1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 36, 105, 256])
@@ -152,6 +155,8 @@ def test_builders_reject_real_dtypes_outside_precisions(real):
         lambda: embedding_matrix(EmbeddingSpec(12, (5,), Basis.TWISTED), real=real),
         lambda: numeric_cond(EmbeddingSpec(173), real=real),
         lambda: factored_cond(EmbeddingSpec(173), real=real),
+        # kernel 1: no Vandermonde is built, the guard must still run
+        lambda: factored_cond(EmbeddingSpec(16), real=real),
         lambda: factored_cond(EmbeddingSpec(105, basis=Basis.TWISTED), real=real),
     ]
     for build in builders:
@@ -227,6 +232,8 @@ def test_extended_precision_dtype_flows_through():
     v = numeric_cond(EmbeddingSpec(16), real=np.longdouble)
     assert type(v) is np.longdouble
     assert float(v) == pytest.approx(8.0, rel=1e-15)
+    for real in linalg.PRECISIONS.values():
+        assert type(factored_cond(EmbeddingSpec(1024), real=real)) is real
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +293,12 @@ def test_factored_cond_mixed_precision_in_two_threads():
 
 
 @pytest.mark.parametrize("n,basis", [(3003, Basis.POWER), (3003, Basis.TWISTED),
-                                     (8192, Basis.POWER)])
+                                     (8192, Basis.POWER), (2310, Basis.POWER),
+                                     (1632, Basis.POWER)])
 def test_factored_cond_matches_dense_at_large_dimension(n, basis):
     # phi(3003) = 1440; phi(8192) = 4096 is the largest dimension the dense
-    # reference accepts, and there the twisted matrix is the power matrix
+    # reference accepts, and there the twisted matrix is the power matrix;
+    # 2310 = 2 * 1155 and 1632 = 2^5 * 3 * 17 reduce to the kernels 1155 and 51
     spec = EmbeddingSpec(n, basis=basis)
     fac, dense = factored_cond(spec), numeric_cond(spec)
     assert float(abs(fac - dense) / dense) <= 1e-12
@@ -354,7 +363,7 @@ def _mp(v):
 
 
 @pytest.mark.parametrize("precision,tol", [("double", 1e-14), ("extended", 2e-16)])
-@pytest.mark.parametrize("n", [173, 359, 603, 742, 1155, 1416, 3003])
+@pytest.mark.parametrize("n", [173, 359, 603, 718, 742, 1024, 1155, 1416, 1632, 3003])
 def test_factored_cond_matches_mpmath_oracle(n, precision, tol):
     got = factored_cond(EmbeddingSpec(n), real=linalg.PRECISIONS[precision])
     want = _oracle_power_cond(n)
