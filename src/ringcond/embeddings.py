@@ -1,18 +1,19 @@
 """Change-of-basis matrices between coordinate and canonical embeddings.
 
-Cyclotomic Vandermonde matrices on primitive roots of unity, their twisted
-Kronecker factorization over prime-power parts, real 2x2 quadratic-field
-blocks, and the tensor assemblies for cyclo-multiquadratic composita, plus
-numeric condition numbers for all of them.
+Cyclotomic Vandermonde matrices on primitive roots of unity, real 2x2
+quadratic-field blocks, and their Kronecker products for the power, twisted
+and hybrid bases of cyclo-multiquadratic composita, plus numeric condition
+numbers for all of them.  One factor list, `_kron_factors`, underlies both.
 
 Two numeric condition numbers are offered.  `numeric_cond` materializes the
 matrix and inverts it densely (LAPACK, or the compensated refinement at
 extended precision); it is the reference.  `factored_cond` never builds the
-Kronecker product: kappa_F(A (x) B) = kappa_F(A) kappa_F(B) holds exactly
-(the Frobenius norm is multiplicative under (x), and (A (x) B)^-1 =
-A^-1 (x) B^-1), so it multiplies the condition numbers of the factors.  Each
-cyclotomic Vandermonde factor V_n is reduced to its odd squarefree kernel s,
-the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n / rad n)) and
+Kronecker product and inverts no matrix: kappa_F(A (x) B) = kappa_F(A)
+kappa_F(B) holds exactly (the Frobenius norm is multiplicative under (x), and
+(A (x) B)^-1 = A^-1 (x) B^-1), so it multiplies the condition numbers of the
+factors.  A quadratic block B gives ||B||_F^2 / |det B| (B^-1 = adj B / det B).
+Each cyclotomic Vandermonde factor V_n is reduced to its odd squarefree
+kernel s, the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n / rad n)) and
 Phi_2s(x) = Phi_s(-x) give kappa_F(V_n) = (n / rad n) kappa_F(V_s) exactly,
 and the conjugate root's column of V_s^-1 is the conjugate column, so only
 the phi(s)/2 columns of the roots k < s/2 are computed.  They come from the
@@ -40,6 +41,7 @@ the extended-precision matrices and condition numbers; a `real` outside
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -78,6 +80,8 @@ class EmbeddingSpec:
     def __post_init__(self):
         c = as_conductor(self.conductor)
         object.__setattr__(self, "conductor", c)
+        if c.n < 2:
+            raise ValueError("need a conductor n >= 2")
         primes = check_quad_primes(c.n, self.quad_primes)
         object.__setattr__(self, "quad_primes", primes)
         if self.basis == Basis.HYBRID and not primes:
@@ -210,20 +214,6 @@ def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
     return _lagrange_columns(c, c.phi, real)
 
 
-def twisted_vandermonde(n, *, real=np.float64) -> np.ndarray:
-    """Kronecker product of cyclotomic Vandermondes over the prime-power
-    parts of n, ascending primes.  For a prime power this is just the
-    cyclotomic Vandermonde itself."""
-    c = _vandermonde_conductor(n)
-    if c.n < 2:
-        raise ValueError("need a conductor n >= 2")
-    out = None
-    for p, e in c.factors:
-        v = cyclotomic_vandermonde(p ** e, real=real)
-        out = v if out is None else np.kron(out, v)
-    return out
-
-
 def quadratic_block(p: int, *, real=np.float64) -> np.ndarray:
     """2x2 real integral-basis block for Q(sqrt(p)).
 
@@ -242,29 +232,32 @@ def quadratic_block(p: int, *, real=np.float64) -> np.ndarray:
     return np.array([[one, s], [one, -s]])
 
 
+def _kron_factors(spec: EmbeddingSpec):
+    # the spec's Kronecker factors in order: the cyclotomic conductors (the
+    # prime-power parts of n if twisted, else n), then the quadratic primes
+    c = spec.conductor
+    cyclo = [p ** e for p, e in c.factors] if spec.basis == Basis.TWISTED else [c]
+    return cyclo, sorted(spec.quad_primes)
+
+
 def embedding_matrix(spec: EmbeddingSpec, *, real=np.float64) -> np.ndarray:
     """Materialize the spec's change-of-basis matrix.
 
-    power basis -> V_{Phi_n}; twisted -> the twisted Vandermonde tensored with
-    the quadratic blocks; hybrid -> V_{Phi_n} tensored with the quadratic
-    blocks.  Dimensions above MAX_DIMENSION are refused: a dense Frobenius
-    condition number needs the dense inverse, so large parameters belong to
-    the formula evaluators instead.
+    power and hybrid basis -> V_{Phi_n}, twisted -> the Kronecker product of
+    V_{p^e} over the prime-power parts of n; either tensored with the
+    quadratic blocks.  Dimensions above MAX_DIMENSION are refused: a dense
+    Frobenius condition number needs the dense inverse, so large parameters
+    belong to the formula evaluators instead.
     """
     dim = spec.dimension
     if dim > MAX_DIMENSION:
         raise ValueError(
             f"embedding dimension {dim} exceeds the materialization cap {MAX_DIMENSION}"
         )
-    if spec.basis == Basis.POWER:
-        return cyclotomic_vandermonde(spec.conductor, real=real)
-    if spec.basis == Basis.TWISTED:
-        out = twisted_vandermonde(spec.conductor, real=real)
-    else:
-        out = cyclotomic_vandermonde(spec.conductor, real=real)
-    for p in sorted(spec.quad_primes):
-        out = np.kron(out, quadratic_block(p, real=real))
-    return out
+    cyclo, quad = _kron_factors(spec)
+    blocks = [cyclotomic_vandermonde(n, real=real) for n in cyclo]
+    blocks += [quadratic_block(p, real=real) for p in quad]
+    return functools.reduce(np.kron, blocks)
 
 
 def numeric_cond(spec: EmbeddingSpec, *, real=np.float64):
@@ -274,11 +267,9 @@ def numeric_cond(spec: EmbeddingSpec, *, real=np.float64):
 
 def _cyclotomic_cond(n: int, *, real=np.float64):
     # (n / rad n) kappa_F(V_s) for s the odd part of rad n (see factored_cond).
-    # The guards run on n itself: a kernel s = 1 builds no Vandermonde.
+    # The real and cap guards run on n: a kernel s = 1 builds no Vandermonde.
     _check_real(real)
     c = _vandermonde_conductor(n)
-    if c.n < 2:
-        raise ValueError("need a conductor n >= 2")
     k = as_conductor(c.rad // 2 if c.n % 2 == 0 else c.rad)
     if k.n == 1:
         return real(c.n // c.rad)
@@ -286,27 +277,28 @@ def _cyclotomic_cond(n: int, *, real=np.float64):
     return real(c.n // c.rad * k.phi) * np.sqrt(real(2)) * linalg.frobenius(w)
 
 
+def _quadratic_cond(p: int, *, real=np.float64):
+    # ||B||_F^2 / |det B| for the 2x2 block B (see factored_cond)
+    b = quadratic_block(p, real=real)
+    return (b * b).sum() / abs(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+
+
 def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix, by factors.
 
     Equals `numeric_cond(spec)` up to rounding, in O(d^2) time and memory for
-    the largest Vandermonde kernel of dimension d: power basis ->
-    kappa_F(V_n); twisted -> the product of that over the prime-power parts
-    of n; hybrid -> the power value of n; each quadratic prime multiplies in
-    the condition number of its 2x2 block.  Each kappa_F(V_n) is
-    (n / rad n) kappa_F(V_s) with s the odd part of rad n (Phi_n(x) =
-    Phi_rad n(x^(n / rad n)), Phi_2s(x) = Phi_s(-x)), and kappa_F(V_s) =
-    phi(s) sqrt(2) ||W||_F from the half W of the columns of V_s^-1 whose
-    roots lie in the upper half-plane (kappa_F(V_1) = 1); so a twisted
-    prime-power factor p^e costs kappa_F(V_p), and n = 2^e no division.  A
+    the largest Vandermonde kernel of dimension d, and inverts no matrix: the
+    product of kappa_F over the Kronecker factors of `embedding_matrix`.  A
+    cyclotomic factor V_n gives (n / rad n) kappa_F(V_s) with s the odd part
+    of rad n (Phi_n(x) = Phi_rad n(x^(n / rad n)), Phi_2s(x) = Phi_s(-x)), and
+    kappa_F(V_s) = phi(s) sqrt(2) ||W||_F from the half W of the columns of
+    V_s^-1 whose roots lie in the upper half-plane (kappa_F(V_1) = 1); so a
+    twisted prime-power factor p^e costs kappa_F(V_p), and n = 2^e no
+    division.  A quadratic block B gives ||B||_F^2 / |det B|, exact since
+    B^-1 = adj B / det B and ||adj B||_F = ||B||_F.  A
     Vandermonde factor with phi(n) above MAX_DIMENSION is refused, whatever
     its kernel, as `embedding_matrix` refuses the whole matrix.
     """
-    c = spec.conductor
-    if spec.basis == Basis.TWISTED:
-        parts = [_cyclotomic_cond(p ** e, real=real) for p, e in c.factors]
-    else:
-        parts = [_cyclotomic_cond(c, real=real)]
-    parts += [linalg.condition_number(quadratic_block(p, real=real))
-              for p in sorted(spec.quad_primes)]
-    return math.prod(parts)
+    cyclo, quad = _kron_factors(spec)
+    return math.prod([_cyclotomic_cond(n, real=real) for n in cyclo]
+                     + [_quadratic_cond(p, real=real) for p in quad])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .numtheory import Conductor, as_conductor, check_quad_primes, height, is_prime
+from .numtheory import as_conductor, check_quad_primes, height, is_prime
 
 
 class Kind(enum.Enum):
@@ -78,8 +78,6 @@ class BoundReport:
     value: float
     applicable: bool = True
     reason: str = ""
-    conductor: Optional[Conductor] = None
-    quad_primes: tuple = ()
     symbolic: Optional[SymbolicValue] = None
     log10_value: Optional[float] = None
     exponent: Optional[int] = None
@@ -88,16 +86,13 @@ class BoundReport:
         return self.value
 
 
-def _inapplicable(kind: Kind, reason: str, c: Optional[Conductor] = None,
-                  primes: tuple = ()) -> BoundReport:
-    return BoundReport(kind=kind, value=math.nan, applicable=False, reason=reason,
-                       conductor=c, quad_primes=primes)
+def _inapplicable(kind: Kind, reason: str) -> BoundReport:
+    return BoundReport(kind=kind, value=math.nan, applicable=False, reason=reason)
 
 
-def _from_symbolic(kind: Kind, sym: SymbolicValue, c=None, primes=(),
-                   exponent=None) -> BoundReport:
-    return BoundReport(kind=kind, value=float(sym), conductor=c, quad_primes=primes,
-                       symbolic=sym, log10_value=sym.log10(), exponent=exponent)
+def _from_symbolic(kind: Kind, sym: SymbolicValue, exponent=None) -> BoundReport:
+    return BoundReport(kind=kind, value=float(sym), symbolic=sym, log10_value=sym.log10(),
+                       exponent=exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +104,15 @@ def cond_exact_prime_power(n) -> BoundReport:
     pure two-powers take p = 2)."""
     c = as_conductor(n)
     if c.n < 2:
-        return _inapplicable(Kind.EXACT_CLOSED, "need n >= 2", c)
+        return _inapplicable(Kind.EXACT_CLOSED, "need n >= 2")
     odd = [p for p, _ in c.factors if p != 2]
     if len(odd) > 1:
         return _inapplicable(
             Kind.EXACT_CLOSED,
-            f"n = {c.n} has {len(odd)} odd prime factors; closed form needs at most one",
-            c)
+            f"n = {c.n} has {len(odd)} odd prime factors; closed form needs at most one")
     p = odd[0] if odd else 2
     sym = SymbolicValue(Fraction(c.phi), Fraction(2 * (p - 1), p))
-    return _from_symbolic(Kind.EXACT_CLOSED, sym, c)
+    return _from_symbolic(Kind.EXACT_CLOSED, sym)
 
 
 def cond_exact_twisted(n) -> BoundReport:
@@ -126,11 +120,11 @@ def cond_exact_twisted(n) -> BoundReport:
     exact for every conductor n >= 2."""
     c = as_conductor(n)
     if c.n < 2:
-        return _inapplicable(Kind.EXACT_TWISTED, "need n >= 2", c)
+        return _inapplicable(Kind.EXACT_TWISTED, "need n >= 2")
     rad = Fraction(1 << c.omega)
     for p, _ in c.factors:
         rad *= Fraction(p - 1, p)
-    return _from_symbolic(Kind.EXACT_TWISTED, SymbolicValue(Fraction(c.phi), rad), c)
+    return _from_symbolic(Kind.EXACT_TWISTED, SymbolicValue(Fraction(c.phi), rad))
 
 
 def cond_quadratic(p) -> BoundReport:
@@ -143,7 +137,7 @@ def cond_quadratic(p) -> BoundReport:
         sym = SymbolicValue(Fraction(p + 5, 2 * p), Fraction(p))
     else:
         sym = SymbolicValue(Fraction(p + 1, p), Fraction(p))
-    return _from_symbolic(Kind.EXACT_QUADRATIC, sym, primes=(p,))
+    return _from_symbolic(Kind.EXACT_QUADRATIC, sym)
 
 
 def cond_exact_cyclomq_twisted(n, primes) -> BoundReport:
@@ -154,11 +148,11 @@ def cond_exact_cyclomq_twisted(n, primes) -> BoundReport:
     primes = check_quad_primes(c.n, primes)
     base = cond_exact_twisted(c)
     if not base.applicable:
-        return _inapplicable(Kind.EXACT_TWISTED, base.reason, c, primes)
+        return _inapplicable(Kind.EXACT_TWISTED, base.reason)
     sym = base.symbolic
     for p in primes:
         sym = sym * cond_quadratic(p).symbolic
-    return _from_symbolic(Kind.EXACT_TWISTED, sym, c, primes)
+    return _from_symbolic(Kind.EXACT_TWISTED, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +167,14 @@ def cond_bound_general(n, coeff_height=None) -> BoundReport:
     symbolic integer stay exact."""
     c = as_conductor(n)
     if c.n < 2:
-        return _inapplicable(Kind.BOUND_GENERAL, "need n >= 2", c)
+        return _inapplicable(Kind.BOUND_GENERAL, "need n >= 2")
     a = height(c.n) if coeff_height is None else operator.index(coeff_height)
     if a < 1:
         raise ValueError(f"coefficient height must be >= 1, got {a}")
     e = (1 << c.omega) + c.omega + 2
     exact = 2 * c.rad * c.n ** e * a
     sym = SymbolicValue(Fraction(exact))
-    rep = _from_symbolic(Kind.BOUND_GENERAL, sym, c, exponent=e)
+    rep = _from_symbolic(Kind.BOUND_GENERAL, sym, exponent=e)
     if math.isinf(rep.value):
         rep = replace(rep, reason="exceeds double range; log10_value and symbolic stay exact")
     return rep
@@ -197,14 +191,14 @@ def cond_bound_refined(n) -> BoundReport:
     if c.omega < 1 or c.omega > 6:
         return _inapplicable(
             Kind.BOUND_REFINED,
-            f"omega(n) = {c.omega} outside the proven range 1..6", c)
+            f"omega(n) = {c.omega} outside the proven range 1..6")
     e = _REFINED_EXP[c.omega]
     phi_rad = 1
     for p, _ in c.factors:
         phi_rad *= p - 1
     exact = 4 * phi_rad ** e * c.phi ** 2
     sym = SymbolicValue(Fraction(exact))
-    return _from_symbolic(Kind.BOUND_REFINED, sym, c, exponent=2 + e)
+    return _from_symbolic(Kind.BOUND_REFINED, sym, exponent=2 + e)
 
 
 def cond_bound_quadratic(p) -> BoundReport:
@@ -213,8 +207,7 @@ def cond_bound_quadratic(p) -> BoundReport:
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     return BoundReport(kind=Kind.BOUND_QUADRATIC, value=2.0 + math.sqrt(p),
-                       quad_primes=(p,), log10_value=math.log10(2.0 + math.sqrt(p)),
-                       exponent=0)
+                       log10_value=math.log10(2.0 + math.sqrt(p)), exponent=0)
 
 
 def cond_bound_cyclomq(n, primes) -> BoundReport:
@@ -222,15 +215,15 @@ def cond_bound_cyclomq(n, primes) -> BoundReport:
     c = as_conductor(n)
     primes = check_quad_primes(c.n, primes)
     if c.n < 2:
-        return _inapplicable(Kind.BOUND_CYCLOMQ, "need n >= 2", c, primes)
+        return _inapplicable(Kind.BOUND_CYCLOMQ, "need n >= 2")
     log10 = (math.log10(c.phi) + 0.5 * c.omega * math.log10(2.0)
              + sum(math.log10(2.0 + math.sqrt(p)) for p in primes))
     value = c.phi * 2.0 ** (0.5 * c.omega)
     for p in primes:
         value *= 2.0 + math.sqrt(p)
     sym = SymbolicValue(Fraction(c.phi), Fraction(1 << c.omega)) if not primes else None
-    return BoundReport(kind=Kind.BOUND_CYCLOMQ, value=value, conductor=c,
-                       quad_primes=primes, symbolic=sym, log10_value=log10)
+    return BoundReport(kind=Kind.BOUND_CYCLOMQ, value=value, symbolic=sym,
+                       log10_value=log10)
 
 
 _HYBRID_EXP = {1: 2, 2: 3, 3: 4, 4: 6, 5: 9, 6: 13}
@@ -244,14 +237,13 @@ def hybrid_bound(n, primes) -> BoundReport:
     primes = check_quad_primes(c.n, primes)
     base = cond_bound_refined(c)
     if not base.applicable:
-        return _inapplicable(Kind.BOUND_HYBRID, base.reason, c, primes)
+        return _inapplicable(Kind.BOUND_HYBRID, base.reason)
     value = base.value
     log10 = base.log10_value
     for p in primes:
         value *= 2.0 + math.sqrt(p)
         log10 += math.log10(2.0 + math.sqrt(p))
-    return BoundReport(kind=Kind.BOUND_HYBRID, value=value, conductor=c,
-                       quad_primes=primes, log10_value=log10,
+    return BoundReport(kind=Kind.BOUND_HYBRID, value=value, log10_value=log10,
                        exponent=_HYBRID_EXP[c.omega])
 
 
@@ -270,7 +262,7 @@ def height_bound_56(n) -> BoundReport:
     if not 4 <= c.omega <= 6:
         return _inapplicable(
             Kind.HEIGHT_BOUND,
-            f"omega(n) = {c.omega} outside the estimated range 4..6", c)
+            f"omega(n) = {c.omega} outside the estimated range 4..6")
     ps = [p for p, _ in c.factors]
     p, q = ps[0], ps[1]
     if c.omega == 4:
@@ -281,7 +273,7 @@ def height_bound_56(n) -> BoundReport:
     else:
         r, s = ps[2], ps[3]
         sym = SymbolicValue(Fraction(18225 * p ** 15 * q ** 7 * r ** 3 * s, 262144))
-    return _from_symbolic(Kind.HEIGHT_BOUND, sym, c)
+    return _from_symbolic(Kind.HEIGHT_BOUND, sym)
 
 
 def omega_upper_bound(n) -> float:

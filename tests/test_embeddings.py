@@ -23,9 +23,8 @@ from ringcond.embeddings import (
     numeric_cond,
     primitive_roots_of_unity,
     quadratic_block,
-    twisted_vandermonde,
 )
-from ringcond.formulas import cond_exact_twisted
+from ringcond.formulas import cond_exact_twisted, cond_quadratic
 from ringcond.numtheory import cyclotomic_poly, factorize, first_primes
 
 
@@ -36,9 +35,12 @@ from ringcond.numtheory import cyclotomic_poly, factorize, first_primes
 def test_primitive_roots_reject_trivial_conductor():
     with pytest.raises(ValueError):
         primitive_roots_of_unity(1)
-    # the kernel of 1 is 1 too, so factored_cond checks n >= 2 itself
-    with pytest.raises(ValueError, match="n >= 2"):
-        factored_cond(EmbeddingSpec(1))
+    # the kernel of 1 is 1 too, and a twisted spec of 1 has no prime-power
+    # parts, so the spec itself refuses n = 1 before any evaluator runs
+    for real in linalg.PRECISIONS.values():
+        for basis in (Basis.POWER, Basis.TWISTED):
+            with pytest.raises(ValueError, match="n >= 2"):
+                factored_cond(EmbeddingSpec(1, basis=basis), real=real)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 36, 105, 256])
@@ -82,7 +84,7 @@ def test_cyclotomic_vandermonde_rows_evaluate_powers():
 
 def test_twisted_vandermonde_kron_of_prime_power_parts():
     # n = 12: parts 4 and 3 in ascending prime order
-    t = twisted_vandermonde(12)
+    t = embedding_matrix(EmbeddingSpec(12, basis=Basis.TWISTED))
     want = np.kron(cyclotomic_vandermonde(4), cyclotomic_vandermonde(3))
     assert t.shape == (4, 4)
     assert np.allclose(t, want, atol=1e-14)
@@ -91,7 +93,8 @@ def test_twisted_vandermonde_kron_of_prime_power_parts():
 def test_twisted_equals_power_for_prime_powers():
     for n in (9, 16, 25):
         assert np.allclose(
-            twisted_vandermonde(n), cyclotomic_vandermonde(n), atol=1e-14
+            embedding_matrix(EmbeddingSpec(n, basis=Basis.TWISTED)),
+            cyclotomic_vandermonde(n), atol=1e-14
         )
 
 
@@ -177,7 +180,7 @@ def test_embedding_matrix_tensors_quadratic_blocks():
     spec = EmbeddingSpec(5, (2, 3), Basis.TWISTED)
     m = embedding_matrix(spec)
     want = np.kron(
-        np.kron(twisted_vandermonde(5), quadratic_block(2)),
+        np.kron(cyclotomic_vandermonde(5), quadratic_block(2)),
         quadratic_block(3),
     )
     assert m.shape == (16, 16)
@@ -196,12 +199,14 @@ def test_cap_refuses_large_dimensions():
     with pytest.raises(ValueError, match="exceeds the materialization cap"):
         embedding_matrix(spec)
     assert embedding_matrix(EmbeddingSpec(2**5)).shape == (16, 16)
+    # 4099 is prime: the twisted matrix is V_4099, of dimension 4098
+    with pytest.raises(ValueError, match="dimension 4098 exceeds the materialization cap"):
+        embedding_matrix(EmbeddingSpec(4099, basis=Basis.TWISTED))
 
 
 def test_vandermonde_builders_refuse_dimensions_past_the_cap():
     # 4099 is prime, so phi = 4098 > MAX_DIMENSION; refused before allocation
-    for build in (cyclotomic_vandermonde, embeddings.cyclotomic_vandermonde_inverse,
-                  twisted_vandermonde):
+    for build in (cyclotomic_vandermonde, embeddings.cyclotomic_vandermonde_inverse):
         with pytest.raises(ValueError, match="dimension 4098 exceeds the cap 4096"):
             build(4099)
 
@@ -266,6 +271,37 @@ def test_factored_cond_matches_dense(precision, kind):
         assert rel <= 1e-12, (n, spec.quad_primes, fac, dense, rel)
         checked += 1
     assert checked >= 240
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_factored_cond_inverts_no_matrix(monkeypatch, precision):
+    real = linalg.PRECISIONS[precision]
+    want = {}
+    for n in (2, 12, 105, 173):
+        for kind in ("twisted+q", "hybrid"):
+            want[n, kind] = numeric_cond(_spec_of_kind(n, kind), real=real)
+
+    def refuse(a):
+        raise AssertionError("factored_cond reached linalg.invert")
+
+    monkeypatch.setattr(linalg, "invert", refuse)
+    for (n, kind), dense in want.items():
+        fac = factored_cond(_spec_of_kind(n, kind), real=real)
+        assert type(fac) is real and float(abs(fac - dense) / dense) <= 1e-12
+    assert factored_cond(EmbeddingSpec(105, (2, 11, 13), Basis.TWISTED), real=real) > 0
+    # kappa_F(B) = ||B||_F^2 / |det B| against the exact closed form, over
+    # both residue classes mod 4
+    eps = mpmath.mpf(float(np.finfo(real).eps))
+    primes = first_primes(60)
+    assert {p % 4 for p in primes} == {1, 2, 3}
+    with mpmath.workdps(50):
+        for p in primes:
+            sym = cond_quadratic(p).symbolic
+            exact = mpmath.mpf(sym.coeff.numerator) / sym.coeff.denominator * mpmath.sqrt(
+                mpmath.mpf(sym.radicand.numerator) / sym.radicand.denominator)
+            got = embeddings._quadratic_cond(p, real=real)
+            assert type(got) is real
+            assert abs(_mp(got) - exact) / exact <= 4 * eps, (p, got)
 
 
 def test_factored_cond_mixed_precision_in_two_threads():

@@ -51,7 +51,6 @@ def test_report_float_and_inapplicable_shape():
     assert math.isnan(float(rep))
     ok = fm.cond_exact_prime_power(16)
     assert ok.applicable and ok.reason == ""
-    assert ok.conductor.n == 16
     assert ok.log10_value == pytest.approx(math.log10(ok.value), rel=1e-12)
 
 
