@@ -162,9 +162,11 @@ def cmd_cond(config: SweepConfig) -> int:
 
 
 def _bench_prime(m_total: int, quad_d: Sequence[int], q_bits: int) -> int:
-    """Smallest prime of the requested size splitting both rings: q = 1 mod
+    """Smallest prime above 2^(q_bits-1) splitting both rings: q = 1 mod
     2*m_total (the full-size NTT needs it; the hybrid's subgroup condition
-    follows) with every d_i a residue."""
+    follows) with every d_i a residue.  It may have more than q_bits bits:
+    3169320961 (32 bits) at m_total = 2^16 with 12 d_i, 20666646529 (35
+    bits, so object-dtype kernels) with 13."""
     step = 2 * m_total
     q = (((1 << (q_bits - 1)) // step) + 1) * step + 1
     while q < (1 << 62):
@@ -275,7 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--r", type=int, required=True,
                          help="number of quadratic generators")
     p_bench.add_argument("--qbits", type=int, default=30,
-                         help="target modulus size in bits")
+                         help="the modulus is the smallest prime above "
+                              "2^(qbits-1) that splits both rings; it may have "
+                              "more than qbits bits")
     p_bench.add_argument("--trials", type=int, default=3)
     p_bench.add_argument("--out", required=True)
 

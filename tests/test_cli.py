@@ -206,6 +206,17 @@ def test_bench_pure_cyclotomic_degenerates_to_baseline(tmp_path):
     assert float(row["asymptotic_ratio"]) == 1.0
 
 
+def test_bench_default_configuration_stays_on_uint64(tmp_path):
+    # the modulus is the smallest prime above 2^(qbits-1) that splits both
+    # rings, not a qbits-bit one: at (16, 12) it has 32 bits, still uint64
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--mcyclo", "16", "--r", "12",
+                     "--trials", "1", "--out", str(out)]) == 0
+    q = int(_read_bench(out)["q"])
+    assert q == 3169320961 and 1 << 31 < q < 1 << 32
+    assert ringarith.make_context(q, 16, (3,))._fwd.dtype == np.uint64
+
+
 # ---------------------------------------------------------------------------
 # verify
 

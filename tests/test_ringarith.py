@@ -711,6 +711,54 @@ def test_ntt_65536_against_direct_evaluation():
 
 
 # ---------------------------------------------------------------------------
+# the division path of _mod, at uint64 arrays of _DIVIDE_MIN entries and more
+
+# 2^32 - 2^20 + 1: prime, 1 mod 2^20, with 2, 3, 5 and 7 as squares
+Q_U64_2POW20 = 4293918721
+
+
+@pytest.mark.parametrize("q", [Q_U64, Q_OBJECT], ids=["uint64", "object"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_mod_matches_remainder_around_the_crossover(q, offset):
+    n = ra._DIVIDE_MIN + offset
+    k = random.Random(23).randrange(2, q - 1)
+    products = [0, 1, q - 1, (q - 1) ** 2, k * q, k * q - 1, (q - 1) * q, (q - 1) * q - 1]
+    dtype = np.uint64 if q < 1 << 32 else object
+    whole = np.array((products * (2 * n))[:2 * n], dtype=dtype)
+    for a in (whole[:n].copy(), whole[::2]):  # contiguous, and strided like a stage's odd half
+        want = np.remainder(a, q)
+        ra._mod(a, q)
+        assert a.dtype == want.dtype and np.array_equal(a, want)
+
+
+@pytest.mark.parametrize("q, mc, ds", [(Q_U64, 256, (2, 3, 5)), (Q_U64_2POW20, 2048, ())],
+                         ids=["hybrid256x8", "ntt2048"])
+def test_transforms_exact_through_the_division_path(q, mc, ds):
+    ctx = ra.make_context(q, mc, ds)
+    assert ctx._fwd.dtype == np.uint64 and ctx.m // 2 >= ra._DIVIDE_MIN
+    fwd, inv = _transform_pair(ctx)
+    want_fwd, want_inv = _closed_counts(ctx)
+    rng = random.Random(29)
+    top = ctx.poly([q - 1] * ctx.m)
+    mixed = ctx.poly([rng.choice((q - 1, q - 2, 1, rng.randrange(q))) for _ in range(ctx.m)])
+    evals = []
+    for a in (top, mixed):
+        ctx.reset_counter()
+        fa = fwd(a)
+        assert (ctx.counter.muls, ctx.counter.adds) == want_fwd
+        assert np.array_equal(fa._arr, _ref_forward(a._arr, ctx))
+        ctx.reset_counter()
+        back = inv(fa)
+        assert (ctx.counter.muls, ctx.counter.adds) == want_inv
+        assert np.array_equal(back._arr, _ref_inverse(fa._arr, ctx))
+        assert back == a
+        evals.append(fa)
+    product = ra.pointwise_mul(*evals)
+    assert np.array_equal(product._arr, np.remainder(evals[0]._arr * evals[1]._arr, q))
+    assert inv(product).values == ra.schoolbook_mul(top, mixed).values
+
+
+# ---------------------------------------------------------------------------
 # fault injection: the plans read the live context tables
 
 
