@@ -9,7 +9,8 @@ Three subcommands:
           negacyclic NTT against the tensor hybrid at the same dimension;
           counted_ratio divides the forward multiplication counts,
           wall_ratio the median round-trip times (ntt_swap_ms /
-          hybrid_swap_ms)
+          hybrid_swap_ms); dtype names the array dtype the timed kernels
+          computed in (uint64, or object for q >= 2^32)
   verify  run the cross-module invariant suites
 
 CSV numbers use 12 significant digits; values beyond double range are
@@ -32,6 +33,8 @@ import time
 from dataclasses import dataclass
 from decimal import Context as DecimalContext
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import _checks, embeddings, formulas, linalg, ringarith
 from .embeddings import Basis, EmbeddingSpec
@@ -176,7 +179,7 @@ def _bench_prime(m_total: int, quad_d: Sequence[int], q_bits: int) -> int:
     raise ValueError(f"no suitable prime below 2^62 for m={m_total}, qbits={q_bits}")
 
 
-BENCH_HEADER = ["m_cyclo", "r", "m_total", "q",
+BENCH_HEADER = ["m_cyclo", "r", "m_total", "q", "dtype",
                 "ntt_fwd_muls", "ntt_fwd_adds", "ntt_inv_muls", "ntt_inv_adds",
                 "hybrid_fwd_muls", "hybrid_fwd_adds", "hybrid_inv_muls",
                 "hybrid_inv_adds", "counted_ratio", "asymptotic_ratio",
@@ -231,7 +234,7 @@ def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> 
         return 1
 
     return _write_csv(out_path, BENCH_HEADER, [[
-        m_cyclo, r, m_total, q,
+        m_cyclo, r, m_total, q, np.dtype(base_ctx._dtype).name,
         base_f[0], base_f[1], base_i[0], base_i[1],
         hyb_f[0], hyb_f[1], hyb_i[0], hyb_i[1],
         _fmt(base_f[0] / hyb_f[0]),

@@ -5,7 +5,11 @@ exact integer coefficients, and their heights (maximum absolute coefficient).
 
 Cyclotomic polynomials are computed over the squarefree radical first and then
 lifted by exponent substitution, so the expensive exact arithmetic never runs
-at a degree larger than phi(rad(n)).
+at a degree larger than phi(rad(n)).  Heights go one step further, to the odd
+squarefree kernel s of n (the odd part of rad n), since Phi_2s(x) = Phi_s(-x):
+A(n) = A(s), and only the lower half of Phi_s is expanded.  The series is the
+Moebius product prod (1 - x^e)^mu, each factor one in-place pass over a
+single buffer.
 """
 from __future__ import annotations
 
@@ -179,45 +183,48 @@ class _Int64Overflow(Exception):
     pass
 
 
-def _mul_one_minus_xe(a: np.ndarray, e: int) -> np.ndarray:
-    # a(x) * (1 - x^e), truncated to len(a) terms
-    out = a.copy()
-    out[e:] = out[e:] - a[:-e]
-    return out
-
-
-def _div_one_minus_xe(a: np.ndarray, e: int) -> np.ndarray:
-    # a(x) / (1 - x^e) as a power series: cumulative sums along each residue
-    # class mod e
-    n = a.size
-    pad = (-n) % e
-    if pad:
-        a = np.concatenate([a, np.zeros(pad, dtype=a.dtype)])
-    b = np.cumsum(a.reshape(-1, e), axis=0).reshape(-1)
-    return b[:n]
+# A division by (1 - x^e) over fewer rows than this runs as a loop of row
+# slices, otherwise as one cumsum down the columns of the (rows, e) view.
+# Timed on a 2-core Xeon (numpy 2.4.6, int64, min of 5 timeit runs), cumsum
+# against the loop: 93 vs 6 us at 4 rows of 5000, 52 vs 34 us at 32 rows of
+# 500, 45 vs 101 us at 64 rows of 250.  Heights over n = 2..1e5 (step 3)
+# took the same time, within noise, for every value from 32 to 128.
+_CUMSUM_MIN_ROWS = 32
 
 
 def _series_run(terms, num_terms: int, exact: bool) -> np.ndarray:
-    dtype = object if exact else np.int64
-    a = np.zeros(num_terms, dtype=dtype)
+    """prod (1 - x^e)^mu over `terms` mod x^num_terms, for 1 <= e < num_terms.
+
+    One buffer of num_terms + max(e) entries is updated in place: a product
+    is one shifted subtraction, a division a prefix sum along each residue
+    class mod e, over the rows of its (rows, e) view.  The entries past
+    num_terms are scratch that pads that view; their values only ever flow
+    upward, so the first num_terms entries stay exact.  int64 runs track an
+    upper bound on the largest magnitude (x2 per product, x rows per
+    division) and take the true maximum only when the bound would pass the
+    test against _INT64_CAP; _Int64Overflow when the true maximum fails it.
+    """
+    a = np.zeros(num_terms + max((e for e, _ in terms), default=0),
+                 dtype=object if exact else np.int64)
     a[0] = 1
-    cur_max = 1
+    bound = 1
     for e, mu in terms:
-        if not exact:
-            if mu > 0:
-                if cur_max > _INT64_CAP // 2:
-                    raise _Int64Overflow
-            else:
-                class_len = -(-num_terms // e)
-                if cur_max > _INT64_CAP // max(class_len, 1):
-                    raise _Int64Overflow
+        rows = -(-num_terms // e)
+        growth = 2 if mu > 0 else rows
+        if not exact and bound > _INT64_CAP // growth:
+            bound = int(np.abs(a[:num_terms]).max())
+            if bound > _INT64_CAP // growth:
+                raise _Int64Overflow
+        bound *= growth
         if mu > 0:
-            a = _mul_one_minus_xe(a, e)
+            a[e:num_terms] -= a[:num_terms - e]
+        elif rows < _CUMSUM_MIN_ROWS:
+            for i in range(e, rows * e, e):
+                a[i:i + e] += a[i - e:i]
         else:
-            a = _div_one_minus_xe(a, e)
-        if not exact:
-            cur_max = int(np.abs(a).max())
-    return a
+            v = a[:rows * e].reshape(rows, e)
+            np.cumsum(v, axis=0, out=v)
+    return a[:num_terms]
 
 
 @lru_cache(maxsize=128)
@@ -225,9 +232,9 @@ def _radical_series(rad: int, num_terms: int) -> np.ndarray:
     """Coefficients of Phi_rad mod x^num_terms for squarefree rad >= 2.
 
     Uses the Moebius product over the divisors e of rad,
-    prod (1 - x^e)^{mu(rad/e)}, with multiplications done as shifted
-    subtractions and divisions as stride cumulative sums.  Exact: int64 with a
-    pre-op bound check, falling back to arbitrary precision on overflow risk.
+    prod (1 - x^e)^{mu(rad/e)} (the sparse power series of Arnold and
+    Monagan), expanded in place in one buffer by `_series_run`.  Exact:
+    int64 under a bound check, rerun with Python ints when the check trips.
     """
     c = factorize(rad)
     primes = [p for p, _ in c.factors]
@@ -279,20 +286,26 @@ def cyclotomic_poly(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _radical_height(rad: int) -> int:
-    c = factorize(rad)
+def _radical_height(s: int) -> int:
+    """A(s) for odd squarefree s."""
+    c = factorize(s)
     if c.omega <= 2:
-        # Phi_p, Phi_2p (= Phi_p(-x)) and Phi_pq all have coefficients in
-        # {-1, 0, 1}; cross-checked against the series path in the tests.
+        # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
+        # cross-checked against the full series of Phi_n in the tests.
         return 1
-    # Phi_rad is palindromic for rad >= 3, so the lower half carries every
-    # coefficient magnitude.
-    half = _radical_series(rad, c.phi // 2 + 1)
+    # Phi_s is palindromic, so the lower half carries every coefficient
+    # magnitude.
+    half = _radical_series(s, c.phi // 2 + 1)
     return int(max(abs(int(v)) for v in half) if half.dtype == object
                else np.abs(half).max())
 
 
 def height(n: int) -> int:
-    """A(n): the maximum absolute coefficient of Phi_n.  A(n) = A(rad(n))."""
+    """A(n): the maximum absolute coefficient of Phi_n.
+
+    A(n) = A(s) for s the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n/rad n))
+    only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
+    signs.  No series is expanded when omega(s) <= 2.
+    """
     c = as_conductor(n)
-    return _radical_height(c.rad)
+    return _radical_height(c.rad // 2 if c.rad % 2 == 0 else c.rad)

@@ -1,6 +1,7 @@
 """Command-line surface: sweep CSV shape and determinism, bench counts and
 ratios, verify suites, exit codes, and the precision flag."""
 import csv
+import hashlib
 import io
 import math
 import os
@@ -155,6 +156,32 @@ def test_cond_matches_golden_csv(tmp_path, precision):
                                                           rel=1e-10), g[0]
 
 
+# sha256 of the nine exact columns of `cond --numeric-cap 0` (header
+# included, cells joined by "," and rows ended by "\n") over windows with
+# four to six primes, two of them around A(40755) = A(81510) = 359, the
+# largest height below 1e5; recorded before the height series last changed
+_COND_EXACT_DIGESTS = {
+    (15000, 15100): "0e4cc2b8cdac92895623df43a120bc884138f3ccaa063f4aaccf47272cf47a93",
+    (30000, 30100): "d897c730fe4e5ae345368ebded301c105e16dd9245314616e663a1457e08ade0",
+    (40700, 40800): "a042c565d4ed9cbf47e41f42027c6373bc5be80685a103eaef8b0208cfe1ef50",
+    (81500, 81600): "69c9e3a3e2332c357b7439f7fac87b2b9c3f5377f4135123073cf4b9ca344efe",
+    (90000, 90100): "eda391a4cf068361473eb939b4bfd0a1734188333b30a6c8f266127238a8c817",
+}
+
+
+@pytest.mark.parametrize("window", sorted(_COND_EXACT_DIGESTS))
+def test_cond_exact_columns_pinned_where_heights_are_large(tmp_path, window):
+    out = tmp_path / "cond.csv"
+    lo, hi = window
+    assert cli.main(["cond", "--min", str(lo), "--max", str(hi),
+                     "--numeric-cap", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == hi - lo + 2
+    text = "".join(",".join(row[:9]) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == _COND_EXACT_DIGESTS[window]
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -212,9 +239,22 @@ def test_bench_default_configuration_stays_on_uint64(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--mcyclo", "16", "--r", "12",
                      "--trials", "1", "--out", str(out)]) == 0
-    q = int(_read_bench(out)["q"])
+    row = _read_bench(out)
+    q = int(row["q"])
     assert q == 3169320961 and 1 << 31 < q < 1 << 32
     assert ringarith.make_context(q, 16, (3,))._fwd.dtype == np.uint64
+    assert row["dtype"] == "uint64"
+
+
+def test_bench_row_records_object_dtype_above_32_bits(tmp_path):
+    # one more quadratic prime pushes the modulus to 35 bits, so the timed
+    # kernels compute in Python ints, and the row says so
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--mcyclo", "16", "--r", "13",
+                     "--trials", "1", "--out", str(out)]) == 0
+    row = _read_bench(out)
+    assert int(row["q"]) == 20666646529
+    assert row["dtype"] == "object"
 
 
 # ---------------------------------------------------------------------------

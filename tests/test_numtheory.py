@@ -116,10 +116,7 @@ def test_first_primes():
 
 
 def _sympy_cyclotomic(n):
-    x = sympy.symbols("x")
-    return np.array(
-        sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1], dtype=object
-    )
+    return np.array(sympy.cyclotomic_poly(n, polys=True).all_coeffs()[::-1], dtype=object)
 
 
 @pytest.mark.parametrize(
@@ -192,8 +189,92 @@ def test_height_radical_invariance(n, k):
     assert nt.height(lifted) == nt.height(n)
 
 
+def _odd_kernel(n):
+    rad = nt.factorize(n).rad
+    return rad // 2 if rad % 2 == 0 else rad
+
+
+def test_height_matches_sympy_where_a_series_runs():
+    # every n <= 3000 whose odd kernel has three or more primes, and 2n,
+    # against sympy's own Phi_n (A(n) and A(2n) come from one series)
+    checked = 0
+    for n in range(2, 3001):
+        if nt.factorize(_odd_kernel(n)).omega < 3:
+            continue
+        for m in (n, 2 * n):
+            assert nt.height(m) == max(abs(int(v)) for v in _sympy_cyclotomic(m)), m
+        checked += 1
+    assert checked == 413
+
+
 # ---------------------------------------------------------------------------
 # exact fallback machinery
+
+
+def _series_terms(rad, num_terms):
+    # (e, mu(rad / e)) for the divisors e < num_terms of squarefree rad,
+    # largest first, as _radical_series builds them
+    primes = [p for p, _ in nt.factorize(rad).factors]
+    k = len(primes)
+    terms = []
+    for bits in range(1 << k):
+        e = 1
+        pop = 0
+        for i in range(k):
+            if bits >> i & 1:
+                e *= primes[i]
+                pop += 1
+        if e >= num_terms:
+            continue
+        terms.append((e, -1 if (k - pop) % 2 else 1))
+    terms.sort(reverse=True)
+    return terms
+
+
+def _python_factor(a, e, mu):
+    # a(x) (1 - x^e)^mu, truncated, on a list of Python ints
+    if mu > 0:
+        return [a[i] - (a[i - e] if i >= e else 0) for i in range(len(a))]
+    a = list(a)
+    for i in range(e, len(a)):
+        a[i] += a[i - e]
+    return a
+
+
+def _python_series(terms, num_terms):
+    # prod (1 - x^e)^mu mod x^num_terms
+    a = [1] + [0] * (num_terms - 1)
+    for e, mu in terms:
+        a = _python_factor(a, e, mu)
+    return a
+
+
+def _int64_trip(terms, num_terms, cap):
+    # the index of the first factor the int64 run must not apply: the one
+    # whose growth (2 for a product, the ceil(num_terms / e) rows of a
+    # division) could take the largest magnitude so far past cap
+    a = [1] + [0] * (num_terms - 1)
+    for j, (e, mu) in enumerate(terms):
+        growth = 2 if mu > 0 else -(-num_terms // e)
+        if max(map(abs, a)) > cap // growth:
+            return j
+        a = _python_factor(a, e, mu)
+    return None
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("terms,num_terms", [
+    (_series_terms(1155, 481), 481),
+    (_series_terms(15015, 2881), 2881),
+    ([(1, -1), (1, -1), (3, -1), (40, 1), (70, -1), (2, 1)], 100),
+    ([(99, -1), (33, -1), (1, 1), (1, -1)], 100),
+])
+def test_series_run_matches_python_ints(terms, num_terms, exact):
+    rows = {-(-num_terms // e) for e, mu in terms if mu < 0}
+    assert min(rows) < nt._CUMSUM_MIN_ROWS <= max(rows)  # both division paths
+    got = nt._series_run(terms, num_terms, exact)
+    assert got.dtype == (object if exact else np.int64)
+    assert [int(v) for v in got] == _python_series(terms, num_terms)
 
 
 def test_series_paths_agree():
@@ -201,34 +282,39 @@ def test_series_paths_agree():
         num_terms = nt.factorize(rad).phi + 1
         nt._radical_series.cache_clear()
         fast = nt._radical_series(rad, num_terms)
-        primes = [p for p, _ in nt.factorize(rad).factors]
-        k = len(primes)
-        terms = []
-        for bits in range(1 << k):
-            e = 1
-            pop = 0
-            for i in range(k):
-                if bits >> i & 1:
-                    e *= primes[i]
-                    pop += 1
-            if e >= num_terms:
-                continue
-            terms.append((e, -1 if (k - pop) % 2 else 1))
-        terms.sort(reverse=True)
-        slow = nt._series_run(terms, num_terms, exact=True)
+        slow = nt._series_run(_series_terms(rad, num_terms), num_terms, exact=True)
         assert slow.dtype == object
         assert [int(a) for a in fast] == [int(b) for b in slow]
 
 
 def test_overflow_fallback_still_exact(monkeypatch):
-    # force the int64 guard to trip so the object-dtype path carries the run
-    monkeypatch.setattr(nt, "_INT64_CAP", 8)
-    nt._radical_series.cache_clear()
-    try:
-        got = nt.cyclotomic_poly(105)
-        assert got.dtype == object
-        want = _sympy_cyclotomic(105)
-        assert all(int(a) == int(b) for a, b in zip(got, want))
-    finally:
-        monkeypatch.undo()
+    # patch the int64 guard's cap so that it trips in the second half of
+    # the series of 15015 = 3*5*7*11*13, at exactly the factor where the
+    # largest magnitude could first pass the cap: the object-dtype rerun
+    # carries the run, in the full Phi_15015 and in the lower half behind A(n)
+    rad = 15015
+    full = nt.factorize(rad).phi + 1
+    half = full // 2 + 1
+    want = _sympy_cyclotomic(rad)
+    want_height = max(abs(int(v)) for v in want)
+    for cap in (1 << 8, 1 << 12, 1 << 16):
+        monkeypatch.setattr(nt, "_INT64_CAP", cap)
         nt._radical_series.cache_clear()
+        nt._radical_height.cache_clear()
+        try:
+            for num_terms in (full, half):
+                terms = _series_terms(rad, num_terms)
+                trip = _int64_trip(terms, num_terms, cap)
+                assert len(terms) // 2 <= trip < len(terms)
+                nt._series_run(terms[:trip], num_terms, exact=False)
+                with pytest.raises(nt._Int64Overflow):
+                    nt._series_run(terms[:trip + 1], num_terms, exact=False)
+            got = nt.cyclotomic_poly(rad)
+            assert got.dtype == object
+            assert [int(a) for a in got] == [int(b) for b in want]
+            assert nt.height(rad) == nt.height(2 * rad) == want_height
+            assert nt._radical_series(rad, half).dtype == object
+        finally:
+            monkeypatch.undo()
+            nt._radical_series.cache_clear()
+            nt._radical_height.cache_clear()
