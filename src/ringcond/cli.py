@@ -149,13 +149,11 @@ def _cond_rows(config: SweepConfig):
             # for a prime power the twisted matrix is the power matrix
             num_t = num_p if c.omega == 1 else embeddings.factored_cond(
                 EmbeddingSpec(c, basis=Basis.TWISTED), real=real)
+        # inapplicable reports carry NaN, which _fmt prints as an empty cell
         yield [
-            n, c.omega, c.phi, c.rad, height(n),
-            _fmt(closed.value if closed.applicable else None),
-            _fmt(twisted.value if twisted.applicable else None),
-            _fmt(refined.value if refined.applicable else None),
-            _fmt(over_a.value if over_a.applicable else None,
-                 exact_int=over_a.symbolic.coeff.numerator if over_a.symbolic else None),
+            n, c.omega, c.phi, c.rad, height(c),
+            _fmt(closed.value), _fmt(twisted.value), _fmt(refined.value),
+            _fmt(over_a.value, exact_int=over_a.symbolic.coeff.numerator),
             _fmt(num_p), _fmt(num_t),
         ]
 

@@ -1,13 +1,14 @@
 """Closed forms and upper bounds for embedding-matrix condition numbers.
 
-Every evaluator returns a BoundReport.  Reports carry the numeric value, an
-exact symbolic form c*sqrt(d) with rational c, d whenever the quantity has
-one, and a base-10 logarithm that stays finite even when the value itself
-overflows a double (the general bound reaches 10^360 around n = 10^5 with six
-prime factors).  A conductor outside a formula's hypotheses gives
-applicable=False and a reason, so sweep loops can dispatch without
-try/except pyramids.  Invalid arguments raise: ValueError for a non-prime p,
-bad quadratic primes or a coefficient height below 1.
+Every evaluator returns a BoundReport.  Reports carry the numeric value and
+an exact symbolic form c*sqrt(d) with rational c, d whenever the quantity has
+one.  A value past double range reads +inf (the general bound reaches 10^360
+around n = 10^5 with six prime factors); its symbolic form stays exact, and
+symbolic.log10() gives its size on demand.  A conductor outside a formula's
+hypotheses gives applicable=False, a NaN value and a reason, so sweep loops
+can dispatch without try/except pyramids.  Invalid arguments raise:
+ValueError for a non-prime p, bad quadratic primes or a coefficient height
+below 1.
 """
 from __future__ import annotations
 
@@ -67,9 +68,10 @@ class SymbolicValue:
 class BoundReport:
     """Outcome of one evaluator on one input.
 
-    value is +inf when the quantity exceeds double range; log10_value stays
-    finite in that case.  symbolic is present only for exact closed forms and
-    for bounds that happen to be rational multiples of a square root.
+    value is +inf when the quantity exceeds double range and NaN when the
+    report is inapplicable.  symbolic is present only for exact closed forms
+    and for bounds that happen to be rational multiples of a square root; its
+    log10() stays finite where value overflows.
     exponent is the growth-order metadata some bounds carry (the power of m
     in their asymptotic envelope).
     """
@@ -79,7 +81,6 @@ class BoundReport:
     applicable: bool = True
     reason: str = ""
     symbolic: Optional[SymbolicValue] = None
-    log10_value: Optional[float] = None
     exponent: Optional[int] = None
 
     def __float__(self) -> float:
@@ -91,8 +92,12 @@ def _inapplicable(kind: Kind, reason: str) -> BoundReport:
 
 
 def _from_symbolic(kind: Kind, sym: SymbolicValue, exponent=None) -> BoundReport:
-    return BoundReport(kind=kind, value=float(sym), symbolic=sym, log10_value=sym.log10(),
-                       exponent=exponent)
+    return BoundReport(kind=kind, value=float(sym), symbolic=sym, exponent=exponent)
+
+
+def _phi_rad(c) -> int:
+    """phi(rad n), from phi(n) = (n / rad n) * phi(rad n)."""
+    return c.phi // (c.n // c.rad)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +126,9 @@ def cond_exact_twisted(n) -> BoundReport:
     c = as_conductor(n)
     if c.n < 2:
         return _inapplicable(Kind.EXACT_TWISTED, "need n >= 2")
-    rad = Fraction(1 << c.omega)
-    for p, _ in c.factors:
-        rad *= Fraction(p - 1, p)
-    return _from_symbolic(Kind.EXACT_TWISTED, SymbolicValue(Fraction(c.phi), rad))
+    # prod (1 - 1/p) over the primes of n is phi(rad n) / rad n
+    radicand = Fraction((1 << c.omega) * _phi_rad(c), c.rad)
+    return _from_symbolic(Kind.EXACT_TWISTED, SymbolicValue(Fraction(c.phi), radicand))
 
 
 def cond_quadratic(p) -> BoundReport:
@@ -163,8 +167,8 @@ def cond_bound_general(n, coeff_height=None) -> BoundReport:
     where A defaults to the true cyclotomic coefficient height of n.
 
     Valid for every n >= 2 but astronomically loose beyond omega = 3; the
-    value field overflows to +inf past about 10^308 while log10_value and the
-    symbolic integer stay exact."""
+    value field overflows to +inf past about 10^308 while the symbolic
+    integer stays exact."""
     c = as_conductor(n)
     if c.n < 2:
         return _inapplicable(Kind.BOUND_GENERAL, "need n >= 2")
@@ -176,7 +180,7 @@ def cond_bound_general(n, coeff_height=None) -> BoundReport:
     sym = SymbolicValue(Fraction(exact))
     rep = _from_symbolic(Kind.BOUND_GENERAL, sym, exponent=e)
     if math.isinf(rep.value):
-        rep = replace(rep, reason="exceeds double range; log10_value and symbolic stay exact")
+        rep = replace(rep, reason="exceeds double range; symbolic stays exact")
     return rep
 
 
@@ -193,10 +197,7 @@ def cond_bound_refined(n) -> BoundReport:
             Kind.BOUND_REFINED,
             f"omega(n) = {c.omega} outside the proven range 1..6")
     e = _REFINED_EXP[c.omega]
-    phi_rad = 1
-    for p, _ in c.factors:
-        phi_rad *= p - 1
-    exact = 4 * phi_rad ** e * c.phi ** 2
+    exact = 4 * _phi_rad(c) ** e * c.phi ** 2
     sym = SymbolicValue(Fraction(exact))
     return _from_symbolic(Kind.BOUND_REFINED, sym, exponent=2 + e)
 
@@ -206,8 +207,12 @@ def cond_bound_quadratic(p) -> BoundReport:
     p = operator.index(p)
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    return BoundReport(kind=Kind.BOUND_QUADRATIC, value=2.0 + math.sqrt(p),
-                       log10_value=math.log10(2.0 + math.sqrt(p)), exponent=0)
+    return BoundReport(kind=Kind.BOUND_QUADRATIC, value=2.0 + math.sqrt(p), exponent=0)
+
+
+def _times_envelopes(value: float, primes) -> float:
+    """value * prod (2 + sqrt p), multiplied left to right."""
+    return math.prod((cond_bound_quadratic(p).value for p in primes), start=value)
 
 
 def cond_bound_cyclomq(n, primes) -> BoundReport:
@@ -216,35 +221,23 @@ def cond_bound_cyclomq(n, primes) -> BoundReport:
     primes = check_quad_primes(c.n, primes)
     if c.n < 2:
         return _inapplicable(Kind.BOUND_CYCLOMQ, "need n >= 2")
-    log10 = (math.log10(c.phi) + 0.5 * c.omega * math.log10(2.0)
-             + sum(math.log10(2.0 + math.sqrt(p)) for p in primes))
-    value = c.phi * 2.0 ** (0.5 * c.omega)
-    for p in primes:
-        value *= 2.0 + math.sqrt(p)
+    value = _times_envelopes(c.phi * 2.0 ** (0.5 * c.omega), primes)
     sym = SymbolicValue(Fraction(c.phi), Fraction(1 << c.omega)) if not primes else None
-    return BoundReport(kind=Kind.BOUND_CYCLOMQ, value=value, symbolic=sym,
-                       log10_value=log10)
-
-
-_HYBRID_EXP = {1: 2, 2: 3, 3: 4, 4: 6, 5: 9, 6: 13}
+    return BoundReport(kind=Kind.BOUND_CYCLOMQ, value=value, symbolic=sym)
 
 
 def hybrid_bound(n, primes) -> BoundReport:
     """Power-basis cyclo-multiquadratic bound: the refined cyclotomic bound
-    times prod (2 + sqrt p) over the quadratic primes.  exponent records the
-    power of m in the growth envelope (m^2 .. m^13 as omega runs 1..6)."""
+    times prod (2 + sqrt p) over the quadratic primes.  exponent is the
+    refined bound's power of m in the growth envelope (m^2 .. m^13 as omega
+    runs 1..6)."""
     c = as_conductor(n)
     primes = check_quad_primes(c.n, primes)
     base = cond_bound_refined(c)
     if not base.applicable:
         return _inapplicable(Kind.BOUND_HYBRID, base.reason)
-    value = base.value
-    log10 = base.log10_value
-    for p in primes:
-        value *= 2.0 + math.sqrt(p)
-        log10 += math.log10(2.0 + math.sqrt(p))
-    return BoundReport(kind=Kind.BOUND_HYBRID, value=value, log10_value=log10,
-                       exponent=_HYBRID_EXP[c.omega])
+    return BoundReport(kind=Kind.BOUND_HYBRID, value=_times_envelopes(base.value, primes),
+                       exponent=base.exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,21 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_report_check_detects_a_self_consistent_wrong_formula(monkeypatch):
+    # doubling the radicand keeps value == float(symbolic), so only a
+    # comparison with the formula itself can notice
+    def doubled(n):
+        rep = real_twisted(n)
+        sym = formulas.SymbolicValue(rep.symbolic.coeff, 2 * rep.symbolic.radicand)
+        return formulas.BoundReport(kind=rep.kind, value=float(sym), symbolic=sym)
+
+    real_twisted = formulas.cond_exact_twisted
+    assert _checks.check_symbolic_reports(30) == []
+    monkeypatch.setattr(formulas, "cond_exact_twisted", doubled)
+    failures = _checks.check_symbolic_reports(30)
+    assert len(failures) == 29 and all("ExactTwisted" in f for f in failures)
+
+
 def test_roundtrip_check_detects_corrupted_tables():
     ctx = ringarith.make_context(12289, 8)
     ctx._fwd[3] = ctx._fwd[3] * 2 % ctx.q  # sabotage one twiddle factor

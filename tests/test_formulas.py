@@ -51,7 +51,7 @@ def test_report_float_and_inapplicable_shape():
     assert math.isnan(float(rep))
     ok = fm.cond_exact_prime_power(16)
     assert ok.applicable and ok.reason == ""
-    assert ok.log10_value == pytest.approx(math.log10(ok.value), rel=1e-12)
+    assert ok.symbolic.log10() == pytest.approx(math.log10(ok.value), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,15 @@ def test_exact_twisted_matches_numeric(n):
     rep = fm.cond_exact_twisted(n)
     got = numeric_cond(EmbeddingSpec(n, basis=Basis.TWISTED))
     assert got == pytest.approx(rep.value, rel=1e-10)
+
+
+def test_exact_twisted_radicand_is_the_product_form():
+    for n in range(2, 3001):
+        c = factorize(n)
+        radicand = Fraction(2**c.omega)
+        for p, _ in c.factors:
+            radicand *= Fraction(p - 1, p)
+        assert fm.cond_exact_twisted(n).symbolic == fm.SymbolicValue(Fraction(c.phi), radicand)
 
 
 def test_twisted_reduces_to_closed_on_prime_powers():
@@ -195,7 +204,7 @@ def test_bound_general_overflow_keeps_exact_forms():
     assert "exceeds double range" in rep.reason
     e = 2**8 + 8 + 2
     want_log10 = math.log10(2 * 9699690) + e * math.log10(9699690)
-    assert rep.log10_value == pytest.approx(want_log10, rel=1e-12)
+    assert rep.symbolic.log10() == pytest.approx(want_log10, rel=1e-12)
     assert rep.symbolic.coeff == Fraction(2 * 9699690 * 9699690**e)
 
 
@@ -230,8 +239,12 @@ def test_bound_cyclomq_pinned():
     assert pure.value == pytest.approx(4 * 2.0, rel=1e-14)
 
 
+_CYCLOMQ_CASES = [(4, (3,)), (8, (3, 5)), (12, (7,)), (36, (5, 7))]
+_HYBRID_CASES = [(4, (3,)), (8, (5,)), (12, (7, 11)), (15, (2,)), (8, (3,)), (12, (5,))]
+
+
 def test_bound_cyclomq_dominates_exact():
-    for n, ps in [(4, (3,)), (8, (3, 5)), (12, (7,)), (36, (5, 7))]:
+    for n, ps in _CYCLOMQ_CASES:
         b = fm.cond_bound_cyclomq(n, ps)
         x = fm.cond_exact_cyclomq_twisted(n, ps)
         assert b.value >= x.value
@@ -251,8 +264,28 @@ def test_hybrid_bound_pinned():
     assert not bad.applicable
 
 
+def test_envelope_products_are_bitwise_the_explicit_loops():
+    for n, ps in _CYCLOMQ_CASES + _HYBRID_CASES:
+        c = factorize(n)
+        cmq = c.phi * 2.0 ** (0.5 * c.omega)
+        hyb = fm.cond_bound_refined(n).value
+        for p in ps:
+            cmq *= 2.0 + math.sqrt(p)
+            hyb *= 2.0 + math.sqrt(p)
+        assert fm.cond_bound_cyclomq(n, ps).value == cmq
+        assert fm.hybrid_bound(n, ps).value == hyb
+
+
+def test_hybrid_exponent_is_the_refined_exponent():
+    for n, ps in [(8, (3,)), (12, (5,)), (30, (7,)), (210, (11,)), (2310, (13,)),
+                  (30030, (17,))]:
+        assert fm.hybrid_bound(n, ps).exponent == fm.cond_bound_refined(n).exponent
+    assert [fm.hybrid_bound(n, ()).exponent for n in (8, 12, 30, 210, 2310, 30030)] == [
+        2, 3, 4, 6, 9, 13]
+
+
 def test_hybrid_bound_dominates_numeric():
-    for n, ps in [(4, (3,)), (8, (5,)), (12, (7, 11)), (15, (2,))]:
+    for n, ps in _HYBRID_CASES[:4]:
         b = fm.hybrid_bound(n, ps)
         got = numeric_cond(EmbeddingSpec(n, ps, Basis.HYBRID))
         assert b.value >= got
