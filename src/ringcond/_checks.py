@@ -369,6 +369,26 @@ def check_symbolic_reports(n_max: int = 200) -> List[str]:
     return out
 
 
+def check_cond_columns(n_max: int = 2000) -> List[str]:
+    """formulas.cond_columns, which the cond CSV prints, vs the four reports
+    it stands for: the same floats bit for bit, NaN exactly where a report is
+    inapplicable, and the general bound's exact integer."""
+    out = []
+    for n in range(2, n_max + 1):
+        c = factorize(n)
+        got = formulas.cond_columns(c)
+        general = formulas.cond_bound_general(c, coeff_height=1)
+        for value, rep in zip(got[:4], (formulas.cond_exact_prime_power(c),
+                                        formulas.cond_exact_twisted(c),
+                                        formulas.cond_bound_refined(c), general)):
+            if not (value == rep.value if rep.applicable else math.isnan(value)):
+                out.append(f"{rep.kind.value} column at n={n}: {value!r} vs report {rep.value!r}")
+        if got.general_over_a_exact != general.symbolic.coeff:
+            out.append(f"general bound integer at n={n}: {got.general_over_a_exact} "
+                       f"vs report {general.symbolic.coeff}")
+    return out
+
+
 QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("closed-form vs numeric (n<=200)", check_closed_forms),
     ("twisted form vs numeric (n<=200)", check_twisted_forms),
@@ -384,6 +404,7 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("height vs max |Phi_n coefficient|, divisor product (n<=200)",
      check_height_identities),
     ("report values vs the paper's formulas (n<=200)", check_symbolic_reports),
+    ("cond formula columns vs the reports, bitwise (n<=2000)", check_cond_columns),
 ]
 
 FULL: List[Tuple[str, Callable[[], List[str]]]] = QUICK + [
@@ -397,6 +418,8 @@ FULL: List[Tuple[str, Callable[[], List[str]]]] = QUICK + [
      lambda: check_transform_homomorphism(trials=5, size_cap=128)),
     ("derivative-denominator inequality (20 conductors)", check_dens_inequality),
     ("inverse-entry bound sweep (phi<=256)", check_inverse_entry_bound),
+    ("cond formula columns vs the reports, bitwise (n<=1e5)",
+     lambda: check_cond_columns(10 ** 5)),
 ]
 
 

@@ -15,7 +15,10 @@ Three subcommands:
 
 CSV numbers use 12 significant digits; values beyond double range are
 rendered from their exact integer form, so the sweep stays meaningful where
-the general bound reaches 10^350.  All columns except the bench timing
+the general bound reaches 10^350.  cond takes its formula columns from
+formulas.cond_columns, which evaluates them from the conductor's exact
+integers, bitwise equal to the BoundReport functions that remain the
+library API and its oracle.  All columns except the bench timing
 medians and their wall_ratio are byte-deterministic for a fixed
 configuration.
 """
@@ -137,23 +140,20 @@ def _cond_rows(config: SweepConfig):
         c = factorize(n)
         if config.omega_filter is not None and c.omega != config.omega_filter:
             continue
-        closed = formulas.cond_exact_prime_power(c)
-        twisted = formulas.cond_exact_twisted(c)
-        refined = formulas.cond_bound_refined(c)
         # the general bound scales linearly in the height, so the
         # height-normalized column is just the bound evaluated at height 1
-        over_a = formulas.cond_bound_general(c, coeff_height=1)
+        closed, twisted, refined, over_a, over_a_exact = formulas.cond_columns(c)
         num_p = num_t = None
         if 0 < c.phi <= config.numeric_cap:
             num_p = embeddings.factored_cond(EmbeddingSpec(c), real=real)
             # for a prime power the twisted matrix is the power matrix
             num_t = num_p if c.omega == 1 else embeddings.factored_cond(
                 EmbeddingSpec(c, basis=Basis.TWISTED), real=real)
-        # inapplicable reports carry NaN, which _fmt prints as an empty cell
+        # an inapplicable formula gives NaN, which _fmt prints as an empty cell
         yield [
             n, c.omega, c.phi, c.rad, height(c),
-            _fmt(closed.value), _fmt(twisted.value), _fmt(refined.value),
-            _fmt(over_a.value, exact_int=over_a.symbolic.coeff.numerator),
+            _fmt(closed), _fmt(twisted), _fmt(refined),
+            _fmt(over_a, exact_int=over_a_exact),
             _fmt(num_p), _fmt(num_t),
         ]
 

@@ -1,14 +1,15 @@
 """Closed forms and upper bounds for embedding-matrix condition numbers.
 
-Every evaluator returns a BoundReport.  Reports carry the numeric value and
-an exact symbolic form c*sqrt(d) with rational c, d whenever the quantity has
-one.  A value past double range reads +inf (the general bound reaches 10^360
-around n = 10^5 with six prime factors); its symbolic form stays exact, and
-symbolic.log10() gives its size on demand.  A conductor outside a formula's
-hypotheses gives applicable=False, a NaN value and a reason, so sweep loops
-can dispatch without try/except pyramids.  Invalid arguments raise:
-ValueError for a non-prime p, bad quadratic primes or a coefficient height
-below 1.
+Every evaluator returns a BoundReport, except cond_columns, which gives the
+four values a `cond` row prints straight from the conductor's integers.
+Reports carry the numeric value and an exact symbolic form c*sqrt(d) with
+rational c, d whenever the quantity has one.  A value past double range
+reads +inf (the general bound reaches 10^360 around n = 10^5 with six prime
+factors); its symbolic form stays exact, and symbolic.log10() gives its
+size on demand.  A conductor outside a formula's hypotheses gives
+applicable=False, a NaN value and a reason, so sweep loops can dispatch
+without try/except pyramids.  Invalid arguments raise: ValueError for a
+non-prime p, bad quadratic primes or a coefficient height below 1.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .numtheory import as_conductor, check_quad_primes, height, is_prime
 
@@ -238,6 +239,53 @@ def hybrid_bound(n, primes) -> BoundReport:
         return _inapplicable(Kind.BOUND_HYBRID, base.reason)
     return BoundReport(kind=Kind.BOUND_HYBRID, value=_times_envelopes(base.value, primes),
                        exponent=base.exponent)
+
+
+# ---------------------------------------------------------------------------
+# Sweep rows.
+
+class CondColumns(NamedTuple):
+    """The formula columns of one `cond` row: NaN where the matching report
+    is inapplicable, inf where it overflows double range."""
+
+    exact_closed: float
+    exact_twisted: float
+    bound_refined: float
+    bound_general_over_a: float
+    general_over_a_exact: Optional[int]   # the general bound at height 1
+
+
+def _float_or_inf(x: int) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def cond_columns(n) -> CondColumns:
+    """cond_exact_prime_power, cond_exact_twisted, cond_bound_refined and
+    cond_bound_general at height 1, evaluated from n, omega, phi and rad
+    without building a Fraction or a report.
+
+    Each float is bitwise the report's value: int/int true division rounds
+    correctly, as Fraction.__float__ does on the same rational, and the
+    square root and the product by float(phi) are the operations of
+    SymbolicValue.__float__."""
+    c = as_conductor(n)
+    if c.n < 2:
+        return CondColumns(math.nan, math.nan, math.nan, math.nan, None)
+    n, omega, phi = c.n, c.omega, c.phi
+    phi_rad = _phi_rad(c)
+    fphi = float(phi)
+    odd_primes = omega - (n % 2 == 0)
+    # the primes ascend, so the last is the one odd prime, or 2 for a two-power
+    p = c.factors[-1][0]
+    closed = fphi * math.sqrt(2 * (p - 1) / p) if odd_primes <= 1 else math.nan
+    twisted = fphi * math.sqrt(((1 << omega) * phi_rad) / c.rad)
+    e = _REFINED_EXP.get(omega)
+    refined = math.nan if e is None else _float_or_inf(4 * phi_rad ** e * phi ** 2)
+    over_a = 2 * c.rad * n ** ((1 << omega) + omega + 2)
+    return CondColumns(closed, twisted, refined, _float_or_inf(over_a), over_a)
 
 
 # ---------------------------------------------------------------------------

@@ -159,13 +159,19 @@ def test_cond_matches_golden_csv(tmp_path, precision):
 # sha256 of the nine exact columns of `cond --numeric-cap 0` (header
 # included, cells joined by "," and rows ended by "\n") over windows with
 # four to six primes, two of them around A(40755) = A(81510) = 359, the
-# largest height below 1e5; recorded before the height series last changed
+# largest height below 1e5; recorded before the height series last changed.
+# The two windows past 1e5 were recorded while the formula columns still
+# came from the BoundReport functions: the first holds 510510 = 2*3*...*17
+# (seven primes: no refined bound, a general bound past double range), the
+# second crosses 10^6, where factorize leaves its sieve for trial division.
 _COND_EXACT_DIGESTS = {
     (15000, 15100): "0e4cc2b8cdac92895623df43a120bc884138f3ccaa063f4aaccf47272cf47a93",
     (30000, 30100): "d897c730fe4e5ae345368ebded301c105e16dd9245314616e663a1457e08ade0",
     (40700, 40800): "a042c565d4ed9cbf47e41f42027c6373bc5be80685a103eaef8b0208cfe1ef50",
     (81500, 81600): "69c9e3a3e2332c357b7439f7fac87b2b9c3f5377f4135123073cf4b9ca344efe",
     (90000, 90100): "eda391a4cf068361473eb939b4bfd0a1734188333b30a6c8f266127238a8c817",
+    (510500, 510520): "98e572553c386d12ece8fb94a005c6f84dee13779b717af39e4637708b318554",
+    (999990, 1000010): "9dd55bbc6bc30c9c295385be64dacc7c778fa86c347056d62eb36722f347e131",
 }
 
 
@@ -173,8 +179,8 @@ _COND_EXACT_DIGESTS = {
 def test_cond_exact_columns_pinned_where_heights_are_large(tmp_path, window):
     out = tmp_path / "cond.csv"
     lo, hi = window
-    assert cli.main(["cond", "--min", str(lo), "--max", str(hi),
-                     "--numeric-cap", "0", "--out", str(out)]) == 0
+    assert cli.main(["cond", "--min", str(lo), "--max", str(hi), "--numeric-cap", "0",
+                     "--limit", str(hi), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == hi - lo + 2
@@ -288,6 +294,21 @@ def test_report_check_detects_a_self_consistent_wrong_formula(monkeypatch):
     assert len(failures) == 29 and all("ExactTwisted" in f for f in failures)
 
 
+def test_cond_columns_check_detects_a_last_bit_change(monkeypatch):
+    # one ulp off the twisted value at n = 105 is the whole difference
+    def nudged(c):
+        cols = real_columns(c)
+        if c.n != 105:
+            return cols
+        return cols._replace(exact_twisted=math.nextafter(cols.exact_twisted, math.inf))
+
+    real_columns = formulas.cond_columns
+    assert _checks.check_cond_columns(200) == []
+    monkeypatch.setattr(formulas, "cond_columns", nudged)
+    failures = _checks.check_cond_columns(200)
+    assert len(failures) == 1 and "ExactTwisted column at n=105" in failures[0]
+
+
 def test_roundtrip_check_detects_corrupted_tables():
     ctx = ringarith.make_context(12289, 8)
     ctx._fwd[3] = ctx._fwd[3] * 2 % ctx.q  # sabotage one twiddle factor
@@ -347,14 +368,14 @@ def test_failed_sweep_leaves_existing_output_untouched(tmp_path, monkeypatch, ca
                                                        exc, rc):
     out = tmp_path / "out.csv"
     out.write_text("earlier run\n")
-    real = formulas.cond_bound_refined
+    real = formulas.cond_columns
 
     def failing_at_30(c):
         if c.n == 30:
             raise exc("injected")
         return real(c)
 
-    monkeypatch.setattr(formulas, "cond_bound_refined", failing_at_30)
+    monkeypatch.setattr(formulas, "cond_columns", failing_at_30)
     argv = ["cond", "--min", "2", "--max", "40", "--numeric-cap", "16", "--out", str(out)]
     if rc is None:
         with pytest.raises(exc, match="injected"):

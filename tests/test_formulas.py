@@ -309,6 +309,40 @@ def test_bounds_dominate_numeric_power_basis(n):
 
 
 # ---------------------------------------------------------------------------
+# sweep rows: cond_columns against the reports it replaces in `cond`
+
+
+@pytest.mark.parametrize("ns", [range(2, 30001), [510510], range(999990, 1000011)],
+                         ids=["n<=30000", "510510", "past-the-sieve"])
+def test_cond_columns_are_bitwise_the_report_values(ns):
+    # 510510 has seven primes (no refined bound; the general one ~1e788),
+    # and conductors above 10^6 are factored by plain trial division
+    for n in ns:
+        c = factorize(n)
+        got = fm.cond_columns(c)
+        general = fm.cond_bound_general(c, coeff_height=1)
+        reports = (fm.cond_exact_prime_power(c), fm.cond_exact_twisted(c),
+                   fm.cond_bound_refined(c), general)
+        for value, rep in zip(got[:4], reports):
+            if rep.applicable:
+                assert value == rep.value, (n, rep.kind)
+            else:
+                assert math.isnan(value), (n, rep.kind)
+        assert got.general_over_a_exact == general.symbolic.coeff
+
+
+def test_cond_columns_past_double_range_keep_the_exact_integer():
+    got = fm.cond_columns(510510)
+    assert math.isnan(got.bound_refined) and math.isinf(got.bound_general_over_a)
+    assert got.general_over_a_exact == 2 * 510510 * 510510 ** (2**7 + 7 + 2)
+
+
+def test_cond_columns_of_one_are_empty():
+    assert all(math.isnan(v) for v in fm.cond_columns(1)[:4])
+    assert fm.cond_columns(1).general_over_a_exact is None
+
+
+# ---------------------------------------------------------------------------
 # height estimates / omega bound
 
 
