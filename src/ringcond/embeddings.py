@@ -192,7 +192,7 @@ def _lagrange_columns(c: Conductor, cols: int, real) -> np.ndarray:
     # the first `cols` columns of V_n^-1: one synthetic division of the exact
     # Phi_n by (x - zeta_j), vectorized across those roots, over Phi_n'(zeta_j)
     roots = primitive_roots_of_unity(c, real=real)[:cols]
-    p = _exact_cast(cyclotomic_poly(c.n), real)
+    p = _exact_cast(cyclotomic_poly(c), real)
     q = np.empty((c.phi, cols), dtype=roots.dtype)
     q[-1] = 1  # Phi_n is monic
     for i in range(c.phi - 2, -1, -1):
@@ -236,7 +236,8 @@ def _kron_factors(spec: EmbeddingSpec):
     # the spec's Kronecker factors in order: the cyclotomic conductors (the
     # prime-power parts of n if twisted, else n), then the quadratic primes
     c = spec.conductor
-    cyclo = [p ** e for p, e in c.factors] if spec.basis == Basis.TWISTED else [c]
+    cyclo = ([Conductor.from_factors([f]) for f in c.factors]
+             if spec.basis == Basis.TWISTED else [c])
     return cyclo, sorted(spec.quad_primes)
 
 
@@ -270,7 +271,7 @@ def _cyclotomic_cond(n: int, *, real=np.float64):
     # The real and cap guards run on n: a kernel s = 1 builds no Vandermonde.
     _check_real(real)
     c = _vandermonde_conductor(n)
-    k = as_conductor(c.rad // 2 if c.n % 2 == 0 else c.rad)
+    k = Conductor.from_factors([(p, 1) for p, _ in c.factors if p != 2])
     if k.n == 1:
         return real(c.n // c.rad)
     w = _lagrange_columns(k, k.phi // 2, real)

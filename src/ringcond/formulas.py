@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .numtheory import as_conductor, check_quad_primes, height, is_prime
+from .numtheory import as_conductor, check_quad_primes, height, is_prime, phi_rad
 
 
 class Kind(enum.Enum):
@@ -96,11 +96,6 @@ def _from_symbolic(kind: Kind, sym: SymbolicValue, exponent=None) -> BoundReport
     return BoundReport(kind=kind, value=float(sym), symbolic=sym, exponent=exponent)
 
 
-def _phi_rad(c) -> int:
-    """phi(rad n), from phi(n) = (n / rad n) * phi(rad n)."""
-    return c.phi // (c.n // c.rad)
-
-
 # ---------------------------------------------------------------------------
 # Exact equalities.
 
@@ -128,7 +123,7 @@ def cond_exact_twisted(n) -> BoundReport:
     if c.n < 2:
         return _inapplicable(Kind.EXACT_TWISTED, "need n >= 2")
     # prod (1 - 1/p) over the primes of n is phi(rad n) / rad n
-    radicand = Fraction((1 << c.omega) * _phi_rad(c), c.rad)
+    radicand = Fraction((1 << c.omega) * phi_rad(c), c.rad)
     return _from_symbolic(Kind.EXACT_TWISTED, SymbolicValue(Fraction(c.phi), radicand))
 
 
@@ -198,7 +193,7 @@ def cond_bound_refined(n) -> BoundReport:
             Kind.BOUND_REFINED,
             f"omega(n) = {c.omega} outside the proven range 1..6")
     e = _REFINED_EXP[c.omega]
-    exact = 4 * _phi_rad(c) ** e * c.phi ** 2
+    exact = 4 * phi_rad(c) ** e * c.phi ** 2
     sym = SymbolicValue(Fraction(exact))
     return _from_symbolic(Kind.BOUND_REFINED, sym, exponent=2 + e)
 
@@ -275,15 +270,15 @@ def cond_columns(n) -> CondColumns:
     if c.n < 2:
         return CondColumns(math.nan, math.nan, math.nan, math.nan, None)
     n, omega, phi = c.n, c.omega, c.phi
-    phi_rad = _phi_rad(c)
+    phi_r = phi_rad(c)
     fphi = float(phi)
     odd_primes = omega - (n % 2 == 0)
     # the primes ascend, so the last is the one odd prime, or 2 for a two-power
     p = c.factors[-1][0]
     closed = fphi * math.sqrt(2 * (p - 1) / p) if odd_primes <= 1 else math.nan
-    twisted = fphi * math.sqrt(((1 << omega) * phi_rad) / c.rad)
+    twisted = fphi * math.sqrt(((1 << omega) * phi_r) / c.rad)
     e = _REFINED_EXP.get(omega)
-    refined = math.nan if e is None else _float_or_inf(4 * phi_rad ** e * phi ** 2)
+    refined = math.nan if e is None else _float_or_inf(4 * phi_r ** e * phi ** 2)
     over_a = 2 * c.rad * n ** ((1 << omega) + omega + 2)
     return CondColumns(closed, twisted, refined, _float_or_inf(over_a), over_a)
 

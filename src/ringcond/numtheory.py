@@ -1,6 +1,6 @@
 """Exact integer and polynomial number theory.
 
-Factorization with cached multiplicative data, cyclotomic polynomials with
+Factorization with its multiplicative data, cyclotomic polynomials with
 exact integer coefficients, and their heights (maximum absolute coefficient).
 
 Cyclotomic polynomials are computed over the squarefree radical first and then
@@ -10,12 +10,18 @@ squarefree kernel s of n (the odd part of rad n), since Phi_2s(x) = Phi_s(-x):
 A(n) = A(s), and only the lower half of Phi_s is expanded.  The series is the
 Moebius product prod (1 - x^e)^mu, each factor one in-place pass over a
 single buffer.
+
+The one memo is `_radical_height`, keyed by the odd primes of n when there are
+three or more: a sweep meets each such kernel many times, and its series is
+the costliest step of a row.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -69,14 +75,21 @@ class Conductor:
     omega: int
 
     def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            prod *= p ** e
-        if prod != self.n:
+        if math.prod(p ** e for p, e in self.factors) != self.n:
             raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
 
+    @classmethod
+    def from_factors(cls, factors) -> Conductor:
+        """The Conductor of prod p^e over (prime, exponent) pairs, primes
+        ascending, without factoring anything."""
+        n = phi = rad = 1
+        for p, e in factors:
+            n *= p ** e
+            phi *= p ** (e - 1) * (p - 1)
+            rad *= p
+        return cls(n=n, factors=tuple(factors), phi=phi, rad=rad, omega=len(factors))
 
-@lru_cache(maxsize=None)
+
 def factorize(n: int) -> Conductor:
     """Factor a positive integer into a Conductor.
 
@@ -112,12 +125,12 @@ def factorize(n: int) -> Conductor:
         if m > 1:
             factors.append((m, 1))
         factors.sort()
-    phi = 1
-    rad = 1
-    for p, e in factors:
-        phi *= p ** (e - 1) * (p - 1)
-        rad *= p
-    return Conductor(n=n, factors=tuple(factors), phi=phi, rad=rad, omega=len(factors))
+    return Conductor.from_factors(factors)
+
+
+def phi_rad(c: Conductor) -> int:
+    """phi(rad n), from phi(n) = (n / rad n) * phi(rad n)."""
+    return c.phi // (c.n // c.rad)
 
 
 def as_conductor(n) -> Conductor:
@@ -128,11 +141,16 @@ def as_conductor(n) -> Conductor:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin on the 13 prime bases 2..41, for n below
+    3317044064679887385961981, the least strong pseudoprime to all of them
+    (psi_13, Sorenson and Webster 2015); ValueError from psi_13 on."""
     n = operator.index(n)
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"is_prime decides only n < 3317044064679887385961981, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for p in bases:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -140,7 +158,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -183,12 +201,12 @@ class _Int64Overflow(Exception):
     pass
 
 
-# A division by (1 - x^e) over fewer rows than this runs as a loop of row
-# slices, otherwise as one cumsum down the columns of the (rows, e) view.
-# Timed on a 2-core Xeon (numpy 2.4.6, int64, min of 5 timeit runs), cumsum
-# against the loop: 93 vs 6 us at 4 rows of 5000, 52 vs 34 us at 32 rows of
-# 500, 45 vs 101 us at 64 rows of 250.  Heights over n = 2..1e5 (step 3)
-# took the same time, within noise, for every value from 32 to 128.
+# A division by (1 - x^e) over fewer rows than this, each at least this long,
+# runs as a loop of row slices (about 1 us a row), else as one cumsum down the
+# columns of the (rows, e) view.  Cumsum vs loop on a 2-core Xeon (numpy 2.4.6,
+# int64, min of 5 timeit runs): 93 vs 6 us at 4 rows of 5000, 52 vs 34 at 32 of
+# 500, 45 vs 101 at 64 of 250, 3 vs 42 at 31 of 1.  Heights over n = 2..1e5
+# (step 3) took the same time, within noise, for every value from 32 to 128.
 _CUMSUM_MIN_ROWS = 32
 
 
@@ -218,7 +236,7 @@ def _series_run(terms, num_terms: int, exact: bool) -> np.ndarray:
         bound *= growth
         if mu > 0:
             a[e:num_terms] -= a[:num_terms - e]
-        elif rows < _CUMSUM_MIN_ROWS:
+        elif rows < _CUMSUM_MIN_ROWS <= e:
             for i in range(e, rows * e, e):
                 a[i:i + e] += a[i - e:i]
         else:
@@ -227,37 +245,25 @@ def _series_run(terms, num_terms: int, exact: bool) -> np.ndarray:
     return a[:num_terms]
 
 
-@lru_cache(maxsize=128)
-def _radical_series(rad: int, num_terms: int) -> np.ndarray:
-    """Coefficients of Phi_rad mod x^num_terms for squarefree rad >= 2.
+def _radical_series(primes, num_terms: int) -> np.ndarray:
+    """Coefficients of Phi_rad mod x^num_terms, for rad the product of the
+    distinct `primes` (at least one).
 
     Uses the Moebius product over the divisors e of rad,
     prod (1 - x^e)^{mu(rad/e)} (the sparse power series of Arnold and
     Monagan), expanded in place in one buffer by `_series_run`.  Exact:
     int64 under a bound check, rerun with Python ints when the check trips.
     """
-    c = factorize(rad)
-    primes = [p for p, _ in c.factors]
     k = len(primes)
-    terms = []
-    for bits in range(1 << k):
-        e = 1
-        pop = 0
-        for i in range(k):
-            if bits >> i & 1:
-                e *= primes[i]
-                pop += 1
-        if e >= num_terms:
-            continue  # (1 - x^e) is the identity under truncation
-        mu = -1 if (k - pop) % 2 else 1
-        terms.append((e, mu))
+    # (1 - x^e) is the identity under truncation once e >= num_terms
+    terms = [(e, -1 if (k - r) % 2 else 1)
+             for r in range(k + 1) for sub in combinations(primes, r)
+             if (e := math.prod(sub)) < num_terms]
     terms.sort(reverse=True)
     try:
-        out = _series_run(terms, num_terms, exact=False)
+        return _series_run(terms, num_terms, exact=False)
     except _Int64Overflow:
-        out = _series_run(terms, num_terms, exact=True)
-    out.setflags(write=False)
-    return out
+        return _series_run(terms, num_terms, exact=True)
 
 
 def cyclotomic_poly(n: int) -> np.ndarray:
@@ -276,26 +282,21 @@ def cyclotomic_poly(n: int) -> np.ndarray:
     c = as_conductor(n)
     if c.n == 1:
         return np.array([-1, 1], dtype=np.int64)
-    rad_coeffs = _radical_series(c.rad, factorize(c.rad).phi + 1)
+    rad_coeffs = _radical_series([p for p, _ in c.factors], phi_rad(c) + 1)
     stride = c.n // c.rad
     if stride == 1:
-        return rad_coeffs.copy()
+        return rad_coeffs
     out = np.zeros(c.phi + 1, dtype=rad_coeffs.dtype)
     out[::stride] = rad_coeffs
     return out
 
 
 @lru_cache(maxsize=None)
-def _radical_height(s: int) -> int:
-    """A(s) for odd squarefree s."""
-    c = factorize(s)
-    if c.omega <= 2:
-        # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
-        # cross-checked against the full series of Phi_n in the tests.
-        return 1
+def _radical_height(primes: tuple) -> int:
+    """A(s) for s the product of three or more distinct odd `primes`."""
     # Phi_s is palindromic, so the lower half carries every coefficient
     # magnitude.
-    half = _radical_series(s, c.phi // 2 + 1)
+    half = _radical_series(primes, math.prod(p - 1 for p in primes) // 2 + 1)
     return int(max(abs(int(v)) for v in half) if half.dtype == object
                else np.abs(half).max())
 
@@ -305,7 +306,10 @@ def height(n: int) -> int:
 
     A(n) = A(s) for s the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n/rad n))
     only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
-    signs.  No series is expanded when omega(s) <= 2.
+    signs.  No series is expanded, and nothing memoized, when omega(s) <= 2.
     """
     c = as_conductor(n)
-    return _radical_height(c.rad // 2 if c.rad % 2 == 0 else c.rad)
+    odd = tuple(p for p, _ in c.factors if p != 2)
+    # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
+    # cross-checked against the full series of Phi_n in the tests.
+    return _radical_height(odd) if len(odd) > 2 else 1

@@ -5,11 +5,12 @@ import hashlib
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ringcond import _checks, cli, embeddings, formulas, ringarith
+from ringcond import _checks, cli, embeddings, formulas, numtheory, ringarith
 from ringcond.embeddings import EmbeddingSpec, factored_cond
 from ringcond.numtheory import is_prime
 
@@ -186,6 +187,25 @@ def test_cond_exact_columns_pinned_where_heights_are_large(tmp_path, window):
     assert len(rows) == hi - lo + 2
     text = "".join(",".join(row[:9]) + "\n" for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == _COND_EXACT_DIGESTS[window]
+
+
+def test_cond_sweep_retains_little_memory(tmp_path):
+    # a cap-0 sweep keeps only the height memo, one small entry per odd
+    # squarefree kernel of three or more primes; a cache of factorizations or
+    # of series arrays retains about 0.9 KB a row and passes 4 MB over these
+    # 20,000 rows
+    out = str(tmp_path / "cond.csv")
+    # warm up first: the sieve and any lazy import are built once per process
+    assert cli.main(["cond", "--min", "2", "--max", "30", "--out", out]) == 0
+    numtheory._radical_height.cache_clear()
+    tracemalloc.start()
+    try:
+        assert cli.main(["cond", "--min", "2", "--max", "20000", "--numeric-cap", "0",
+                         "--out", out]) == 0
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4_000_000, retained
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,21 @@ def test_is_prime_matches_sympy_small():
         (3825123056546413051, False),  # strong pseudoprime to first 9 prime bases
         (2**61 - 1, True),  # Mersenne prime
         (10**18 + 9, True),
+        # psi_12 = 399165290221 * 798330580441: strong pseudoprime to 2..37
+        (318665857834031151167461, False),
     ],
 )
 def test_is_prime_hard_cases(n, expected):
     assert nt.is_prime(n) == expected
+
+
+def test_is_prime_refuses_from_psi_13_on():
+    # psi_13, strong pseudoprime to all 13 bases 2..41, is where they stop
+    # deciding; the prime just below it is still decided
+    assert nt.is_prime(3317044064679887385961813)
+    for n in (3317044064679887385961981, 3317044064679887385961981 + 2, 10**30):
+        with pytest.raises(ValueError):
+            nt.is_prime(n)
 
 
 @pytest.mark.parametrize("bad", [7.9, 12289.5, 7.0])
@@ -270,8 +281,9 @@ def _int64_trip(terms, num_terms, cap):
     ([(99, -1), (33, -1), (1, 1), (1, -1)], 100),
 ])
 def test_series_run_matches_python_ints(terms, num_terms, exact):
-    rows = {-(-num_terms // e) for e, mu in terms if mu < 0}
-    assert min(rows) < nt._CUMSUM_MIN_ROWS <= max(rows)  # both division paths
+    # both division paths: the row loop (few long rows) and the cumsum
+    loops = {-(-num_terms // e) < nt._CUMSUM_MIN_ROWS <= e for e, mu in terms if mu < 0}
+    assert loops == {True, False}
     got = nt._series_run(terms, num_terms, exact)
     assert got.dtype == (object if exact else np.int64)
     assert [int(v) for v in got] == _python_series(terms, num_terms)
@@ -279,9 +291,9 @@ def test_series_run_matches_python_ints(terms, num_terms, exact):
 
 def test_series_paths_agree():
     for rad in (15, 105, 255, 385):
-        num_terms = nt.factorize(rad).phi + 1
-        nt._radical_series.cache_clear()
-        fast = nt._radical_series(rad, num_terms)
+        c = nt.factorize(rad)
+        num_terms = c.phi + 1
+        fast = nt._radical_series([p for p, _ in c.factors], num_terms)
         slow = nt._series_run(_series_terms(rad, num_terms), num_terms, exact=True)
         assert slow.dtype == object
         assert [int(a) for a in fast] == [int(b) for b in slow]
@@ -293,13 +305,13 @@ def test_overflow_fallback_still_exact(monkeypatch):
     # largest magnitude could first pass the cap: the object-dtype rerun
     # carries the run, in the full Phi_15015 and in the lower half behind A(n)
     rad = 15015
+    primes = (3, 5, 7, 11, 13)
     full = nt.factorize(rad).phi + 1
     half = full // 2 + 1
     want = _sympy_cyclotomic(rad)
     want_height = max(abs(int(v)) for v in want)
     for cap in (1 << 8, 1 << 12, 1 << 16):
         monkeypatch.setattr(nt, "_INT64_CAP", cap)
-        nt._radical_series.cache_clear()
         nt._radical_height.cache_clear()
         try:
             for num_terms in (full, half):
@@ -313,8 +325,7 @@ def test_overflow_fallback_still_exact(monkeypatch):
             assert got.dtype == object
             assert [int(a) for a in got] == [int(b) for b in want]
             assert nt.height(rad) == nt.height(2 * rad) == want_height
-            assert nt._radical_series(rad, half).dtype == object
+            assert nt._radical_series(primes, half).dtype == object
         finally:
             monkeypatch.undo()
-            nt._radical_series.cache_clear()
             nt._radical_height.cache_clear()
