@@ -70,7 +70,9 @@ class EmbeddingSpec:
     """A conductor, an optional list of extra quadratic primes, and a basis.
 
     quad_primes must be distinct primes none of which divides the conductor;
-    the hybrid basis requires at least one, the power basis none.
+    the hybrid basis requires at least one, the power basis none.  basis is a
+    Basis or a Basis value ("power", "twisted", "hybrid"); ValueError
+    otherwise.
     """
 
     conductor: Conductor
@@ -84,6 +86,7 @@ class EmbeddingSpec:
             raise ValueError("need a conductor n >= 2")
         primes = check_quad_primes(c.n, self.quad_primes)
         object.__setattr__(self, "quad_primes", primes)
+        object.__setattr__(self, "basis", Basis(self.basis))
         if self.basis == Basis.HYBRID and not primes:
             raise ValueError("hybrid basis requires a nonempty quad_primes list")
         if self.basis == Basis.POWER and primes:

@@ -3,6 +3,9 @@
 Factorization with its multiplicative data, cyclotomic polynomials with
 exact integer coefficients, and their heights (maximum absolute coefficient).
 
+Factorization is one trial-division loop, over a constant tuple of the primes
+below 2^10 and then the odd numbers past them; the same loop serves every n.
+
 Cyclotomic polynomials are computed over the squarefree radical first and then
 lifted by exponent substitution, so the expensive exact arithmetic never runs
 at a degree larger than phi(rad(n)).  Heights go one step further, to the odd
@@ -11,9 +14,9 @@ A(n) = A(s), and only the lower half of Phi_s is expanded.  The series is the
 Moebius product prod (1 - x^e)^mu, each factor one in-place pass over a
 single buffer.
 
-The one memo is `_radical_height`, keyed by the odd primes of n when there are
-three or more: a sweep meets each such kernel many times, and its series is
-the costliest step of a row.
+Besides that tuple, the module's only state is the memo `_radical_height`,
+keyed by the odd primes of n when there are three or more: a sweep meets each
+such kernel many times, and its series is the costliest step of a row.
 """
 from __future__ import annotations
 
@@ -21,33 +24,18 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, count
 
 import numpy as np
-
-_SIEVE_LIMIT = 1_000_000
-_spf = None  # smallest-prime-factor table, built on first use
 
 # int64 headroom for the exact series arithmetic; anything that might exceed
 # this falls back to arbitrary-precision objects.
 _INT64_CAP = 1 << 62
 
-
-def _smallest_prime_factors() -> np.ndarray:
-    global _spf
-    if _spf is None:
-        n = _SIEVE_LIMIT
-        spf = np.zeros(n + 1, dtype=np.int32)
-        spf[1] = 1
-        for p in range(2, int(n ** 0.5) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-                spf[p] = p
-        rest = np.nonzero(spf == 0)[0]
-        spf[rest] = rest  # untouched entries are prime
-        _spf = spf
-    return _spf
+# The primes below 2^10, the trial divisors `factorize` tries first; alone they
+# factor every n < 2^20.
+_PRIMES = tuple(p for p in range(2, 1 << 10)
+                if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
 @dataclass(frozen=True)
@@ -93,8 +81,9 @@ class Conductor:
 def factorize(n: int) -> Conductor:
     """Factor a positive integer into a Conductor.
 
-    Trial division driven by a smallest-prime-factor sieve below 10^6, plain
-    trial division above it.
+    Trial division by the primes below 2^10, then by the odd numbers past
+    them, up to the square root of the part not yet factored; the primes come
+    out ascending.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"conductor must be a positive integer, got {n!r}")
@@ -103,28 +92,19 @@ def factorize(n: int) -> Conductor:
         raise ValueError(f"conductor must be a positive integer, got {n}")
     factors = []
     m = n
-    if n <= _SIEVE_LIMIT:
-        spf = _smallest_prime_factors()
-        while m > 1:
-            p = int(spf[m])
+    limit = math.isqrt(m)
+    for p in chain(_PRIMES, count(_PRIMES[-1] + 2, 2)):
+        if p > limit:
+            break
+        if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-    else:
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-            p += 1 if p == 2 else 2
-        if m > 1:
-            factors.append((m, 1))
-        factors.sort()
+            limit = math.isqrt(m)
+    if m > 1:
+        factors.append((m, 1))
     return Conductor.from_factors(factors)
 
 

@@ -172,7 +172,7 @@ class RingContext:
 
     def poly(self, values: Sequence[int], domain: Domain = Domain.COEFFICIENT) -> "PolyVec":
         """Reduce a length-m integer sequence mod q and wrap it."""
-        return _reduce(_int_array(values, self), self, domain)
+        return _reduce(_int_array(values, self), self, Domain(domain))
 
     def reset_counter(self):
         self.counter.reset()
@@ -184,8 +184,9 @@ class PolyVec:
     The residues live in one read-only numpy array of the context's dtype;
     `values` is the same residues as a tuple of Python ints, built from the
     array on each access.  Direct construction takes integers already in
-    [0, q).  Immutable; equal when the residues are and the domain and the
-    context are the same objects.
+    [0, q), and a Domain or its value (ValueError otherwise).  Immutable;
+    equal when the residues are and the domain and the context are the same
+    objects.
     """
 
     __slots__ = ("_arr", "domain", "ctx")
@@ -196,7 +197,7 @@ class PolyVec:
         bad = (ints < 0) | (ints >= ctx.q)
         if bad.any():
             raise ValueError(f"residue {ints[bad.argmax()]} outside [0, {ctx.q})")
-        self._wrap(ints.astype(ctx._dtype, copy=False), domain, ctx)
+        self._wrap(ints.astype(ctx._dtype, copy=False), Domain(domain), ctx)
 
     @classmethod
     def _trusted(cls, arr: np.ndarray, domain: Domain, ctx: RingContext) -> "PolyVec":

@@ -164,7 +164,8 @@ def test_cond_matches_golden_csv(tmp_path, precision):
 # The two windows past 1e5 were recorded while the formula columns still
 # came from the BoundReport functions: the first holds 510510 = 2*3*...*17
 # (seven primes: no refined bound, a general bound past double range), the
-# second crosses 10^6, where factorize leaves its sieve for trial division.
+# second crosses 10^6, where factorize then left a 10^6 sieve for trial
+# division.
 _COND_EXACT_DIGESTS = {
     (15000, 15100): "0e4cc2b8cdac92895623df43a120bc884138f3ccaa063f4aaccf47272cf47a93",
     (30000, 30100): "d897c730fe4e5ae345368ebded301c105e16dd9245314616e663a1457e08ade0",
@@ -195,7 +196,7 @@ def test_cond_sweep_retains_little_memory(tmp_path):
     # of series arrays retains about 0.9 KB a row and passes 4 MB over these
     # 20,000 rows
     out = str(tmp_path / "cond.csv")
-    # warm up first: the sieve and any lazy import are built once per process
+    # warm up first: any lazy import is done once per process
     assert cli.main(["cond", "--min", "2", "--max", "30", "--out", out]) == 0
     numtheory._radical_height.cache_clear()
     tracemalloc.start()

@@ -137,6 +137,19 @@ def test_spec_validation():
         EmbeddingSpec(12, (5,), Basis.POWER)
 
 
+def test_spec_basis_is_coerced_or_rejected():
+    # a member's value names the member; anything else is refused, never
+    # silently read as the power basis
+    assert EmbeddingSpec(15, basis="twisted").basis is Basis.TWISTED
+    assert factored_cond(EmbeddingSpec(15, basis="twisted")) == \
+        factored_cond(EmbeddingSpec(15, basis=Basis.TWISTED))
+    with pytest.raises(ValueError, match="power basis takes no"):
+        EmbeddingSpec(15, (7,), basis="power")
+    for bad in (None, "Twisted", Basis.TWISTED.name, 1):
+        with pytest.raises(ValueError):
+            EmbeddingSpec(15, (7,), basis=bad)
+
+
 def test_non_integral_inputs_are_rejected_not_truncated():
     with pytest.raises(TypeError):
         EmbeddingSpec(5, (3.7,), Basis.TWISTED)

@@ -313,10 +313,11 @@ def test_bounds_dominate_numeric_power_basis(n):
 
 
 @pytest.mark.parametrize("ns", [range(2, 30001), [510510], range(999990, 1000011)],
-                         ids=["n<=30000", "510510", "past-the-sieve"])
+                         ids=["n<=30000", "510510", "around-10^6"])
 def test_cond_columns_are_bitwise_the_report_values(ns):
     # 510510 has seven primes (no refined bound; the general one ~1e788),
-    # and conductors above 10^6 are factored by plain trial division
+    # and the window around 10^6 is where factorize once left a 10^6 sieve
+    # for trial division
     for n in ns:
         c = factorize(n)
         got = fm.cond_columns(c)

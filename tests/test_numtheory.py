@@ -23,7 +23,13 @@ def _sympy_factors(n):
 
 @pytest.mark.parametrize(
     "n",
-    list(range(1, 64)) + [360, 1024, 6469693230, 2**31 - 1, 600851475143],
+    list(range(1, 64)) + [360, 1024, 6469693230, 2**31 - 1, 600851475143,
+                          # the last prime of factorize's table, 1021, and
+                          # the first past it, 1031
+                          1021**2, 1031**2, 1021 * 1031,
+                          # the first prime past 2^20, alone and times 2^20
+                          1048583, 2**20 * 1048583,
+                          10**12 + 39],  # prime
 )
 def test_factorize_matches_sympy(n):
     c = nt.factorize(n)

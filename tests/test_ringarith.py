@@ -131,6 +131,20 @@ def test_polyvec_validation():
         ra.PolyVec((0, 5, 98, -1, 0, 0, 0, 0), ra.Domain.COEFFICIENT, ctx)
 
 
+def test_public_constructors_coerce_or_reject_the_domain():
+    ctx = ctx_cyclo()
+    values = list(range(8))
+    by_value = ctx.poly(values, domain="evaluation")
+    assert by_value.domain is ra.Domain.EVALUATION
+    assert ra.inverse(by_value) == ra.inverse(ctx.poly(values, ra.Domain.EVALUATION))
+    assert ra.PolyVec(values, "coefficient", ctx).domain is ra.Domain.COEFFICIENT
+    for bad in (None, "COEFFICIENT", 0):
+        with pytest.raises(ValueError):
+            ctx.poly(values, domain=bad)
+        with pytest.raises(ValueError):
+            ra.PolyVec(values, bad, ctx)
+
+
 def test_coefficient_inputs_reject_floats_and_take_numpy_ints():
     # one integer conversion behind every entry point: no silent truncation
     ctx = ctx_cyclo()
