@@ -24,13 +24,10 @@ derivatives Phi_s'(zeta).  The numeric columns of `ringcond cond` come from
 `factored_cond`.
 
 Every Vandermonde is built here from a validated conductor, so its roots are
-distinct by construction: primitive n-th roots lie at least 2 sin(pi/n)
-apart.  The Vandermonde builders refuse phi(n) > MAX_DIMENSION before they
-allocate.
-
-Ordering conventions (the matrices, unlike their condition numbers, depend on
-them): primitive roots are enumerated by ascending residue k with
-gcd(k, n) = 1, tensor factors by ascending prime.
+distinct by construction (at least 2 sin(pi/n) apart), and is refused before
+allocation when phi(n) > MAX_DIMENSION.  Primitive roots come by ascending
+residue k with gcd(k, n) = 1, tensor factors by ascending prime: the
+matrices, unlike their condition numbers, depend on that order.
 
 Precision: every function that builds numbers from integers takes a
 `real=np.float64` keyword, the real numpy dtype to compute in; the matching
@@ -112,12 +109,16 @@ def _two_pi(real=np.float64):
     return 2.0 * np.pi
 
 
-def primitive_roots_of_unity(n, *, real=np.float64) -> np.ndarray:
-    """exp(2*pi*i*k/n) for the ascending k coprime to n, in the complex
-    dtype of `real`."""
-    c = as_conductor(n)
-    theta = _two_pi(real) * _units(c).astype(real) / real(c.n)
+def _roots_table(n: int, real) -> np.ndarray:
+    # exp(2*pi*i*j/n) for j < n, each entry from its own angle
+    theta = _two_pi(real) * np.arange(n).astype(real) / real(n)
     return np.cos(theta) + np.sin(theta) * np.promote_types(real, np.complex128).type(1j)
+
+
+def primitive_roots_of_unity(n, *, real=np.float64) -> np.ndarray:
+    """exp(2*pi*i*k/n) for the ascending k coprime to n, complex dtype of `real`."""
+    c = as_conductor(n)
+    return _roots_table(c.n, real)[_units(c)]
 
 
 def _units(c: Conductor) -> np.ndarray:
@@ -170,13 +171,9 @@ def _vandermonde_conductor(n) -> Conductor:
 
 def cyclotomic_vandermonde(n, *, real=np.float64) -> np.ndarray:
     """phi(n) x phi(n) Vandermonde on the primitive n-th roots of unity:
-    row i is (1, zeta_i, zeta_i^2, ...), one column recurrence."""
-    roots = primitive_roots_of_unity(_vandermonde_conductor(n), real=real)
-    v = np.empty((roots.size, roots.size), dtype=roots.dtype)
-    v[:, 0] = 1
-    for j in range(1, roots.size):
-        v[:, j] = v[:, j - 1] * roots
-    return v
+    entry (i, j) is zeta_i^j, the n-th root at the exact exponent k_i j mod n."""
+    c = _vandermonde_conductor(n)
+    return _roots_table(c.n, real)[np.multiply.outer(_units(c), np.arange(c.phi)) % c.n]
 
 
 def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:

@@ -145,11 +145,14 @@ def _gemm_exact_dd(a: np.ndarray, b: np.ndarray):
     eb, cb = _split(b.T, t, k)
     ca = np.concatenate(ca, axis=1)
     cb = np.concatenate(cb[::-1], axis=1).T
-    hi = lo = 0
-    for s in range(k + 1):
+
+    def diagonal(s):  # the one gemm of anti-diagonal s
         i0, i1 = max(0, s - k + 1), min(s, k - 1)
-        p = ca[:, i0 * n:(i1 + 1) * n] @ cb[(k - 1 - s + i0) * n:(k - s + i1) * n]
-        hi, e = _two_sum(hi, p)
+        return ca[:, i0 * n:(i1 + 1) * n] @ cb[(k - 1 - s + i0) * n:(k - s + i1) * n]
+
+    hi, lo = diagonal(0), 0
+    for s in range(1, k + 1):
+        hi, e = _two_sum(hi, diagonal(s))
         lo = lo + e
     hi, lo = _two_sum(hi, lo)
     scale = np.exp2(ea[:, None] + eb[None, :])

@@ -66,6 +66,20 @@ def test_primitive_roots_are_distinct():
     assert d.min() > 1e-3
 
 
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+def test_primitive_roots_are_bitwise_the_direct_angles(real):
+    # the numeric columns of `cond` are pinned byte for byte, and every root
+    # they read must stay cos + i sin of the angle 2 pi k / n computed as here
+    two_pi = embeddings._two_pi(real)
+    for n in [*range(2, 3001, 7), 1155, 2310, 2999, 3000]:
+        ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
+        theta = two_pi * ks.astype(real) / real(n)
+        got = primitive_roots_of_unity(n, real=real)
+        assert got.dtype == np.promote_types(real, np.complex128)
+        assert np.array_equal(got.real, np.cos(theta)), n
+        assert np.array_equal(got.imag, np.sin(theta)), n
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -80,6 +94,24 @@ def test_cyclotomic_vandermonde_rows_evaluate_powers():
     roots = primitive_roots_of_unity(7)
     for j in range(6):
         assert np.allclose(v[:, j], roots**j, atol=1e-13)
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [1155, 3072])
+def test_cyclotomic_vandermonde_entries_match_mpmath(n, real):
+    # entry (i, j) is one root at the exact exponent k_i j mod n, so it stays
+    # within a few eps of exp(2 pi i k_i j / n) in every column; powers built
+    # column by column drift by about j eps
+    v = cyclotomic_vandermonde(n, real=real)
+    ks = [k for k in range(1, n) if math.gcd(k, n) == 1]
+    rng = np.random.default_rng(n)
+    worst = mpmath.mpf(0)
+    with mpmath.workprec(200):
+        for i, j in rng.integers(len(ks), size=(300, 2)).tolist():
+            want = mpmath.expjpi(mpmath.mpf(2 * ks[i] * j) / n)
+            worst = max(worst, abs(mpmath.mpc(_mp(v[i, j].real), _mp(v[i, j].imag)) - want))
+    eps = float(np.finfo(real).eps)
+    assert worst <= 8 * eps, float(worst) / eps
 
 
 def test_twisted_vandermonde_kron_of_prime_power_parts():

@@ -47,8 +47,8 @@ def _rand_complex(n, rng_seed=7):
 
 
 def _vandermonde(roots):
-    """Row i = (1, r_i, r_i^2, ...), by the column recurrence of
-    `embeddings.cyclotomic_vandermonde`, on any complex roots."""
+    """Row i = (1, r_i, r_i^2, ...) on any complex roots, column j as
+    column j - 1 times the roots."""
     v = np.empty((roots.size, roots.size), dtype=roots.dtype)
     v[:, 0] = 1
     for j in range(1, roots.size):
