@@ -25,35 +25,33 @@ def _phi_derivative_at(n: int, points: np.ndarray) -> np.ndarray:
     return np.polyval(dcoeffs[::-1], points)
 
 
-def check_closed_forms(n_max: int = 200, phi_cap: int = 64) -> List[str]:
-    """Numeric power-basis condition number vs the exact closed form."""
+def _check_form(report, basis: Basis, label: str, n_max: int, phi_cap: int) -> List[str]:
+    # numeric condition number in `basis` vs `report`, where it applies
     out = []
     for n in range(2, n_max + 1):
         c = factorize(n)
         if c.phi > phi_cap:
             continue
-        rep = formulas.cond_exact_prime_power(c)
+        rep = report(c)
         if not rep.applicable:
             continue
-        num = embeddings.numeric_cond(EmbeddingSpec(c))
+        num = embeddings.numeric_cond(EmbeddingSpec(c, basis=basis))
         rel = abs(num - rep.value) / rep.value
         if rel > 1e-9:
-            out.append(f"closed form n={n}: numeric {num!r} vs exact {rep.value!r} (rel {rel:.2e})")
+            out.append(f"{label} n={n}: numeric {num!r} vs exact {rep.value!r} (rel {rel:.2e})")
     return out
+
+
+def check_closed_forms(n_max: int = 200, phi_cap: int = 64) -> List[str]:
+    """Numeric power-basis condition number vs the exact closed form."""
+    return _check_form(formulas.cond_exact_prime_power, Basis.POWER, "closed form",
+                       n_max, phi_cap)
 
 
 def check_twisted_forms(n_max: int = 200, phi_cap: int = 64) -> List[str]:
-    out = []
-    for n in range(2, n_max + 1):
-        c = factorize(n)
-        if c.phi > phi_cap:
-            continue
-        rep = formulas.cond_exact_twisted(c)
-        num = embeddings.numeric_cond(EmbeddingSpec(c, basis=Basis.TWISTED))
-        rel = abs(num - rep.value) / rep.value
-        if rel > 1e-9:
-            out.append(f"twisted form n={n}: numeric {num!r} vs exact {rep.value!r} (rel {rel:.2e})")
-    return out
+    """Numeric twisted-basis condition number vs the exact twisted form."""
+    return _check_form(formulas.cond_exact_twisted, Basis.TWISTED, "twisted form",
+                       n_max, phi_cap)
 
 
 def check_bound_dominance(n_max: int = 200, phi_cap: int = 64) -> List[str]:

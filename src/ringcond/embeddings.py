@@ -236,8 +236,7 @@ def _kron_factors(spec: EmbeddingSpec):
     # the spec's Kronecker factors in order: the cyclotomic conductors (the
     # prime-power parts of n if twisted, else n), then the quadratic primes
     c = spec.conductor
-    cyclo = ([Conductor.from_factors([f]) for f in c.factors]
-             if spec.basis == Basis.TWISTED else [c])
+    cyclo = [Conductor((f,)) for f in c.factors] if spec.basis == Basis.TWISTED else [c]
     return cyclo, sorted(spec.quad_primes)
 
 
@@ -271,7 +270,7 @@ def _cyclotomic_cond(n: int, *, real=np.float64):
     # The real and cap guards run on n: a kernel s = 1 builds no Vandermonde.
     _check_real(real)
     c = _vandermonde_conductor(n)
-    k = Conductor.from_factors([(p, 1) for p, _ in c.factors if p != 2])
+    k = Conductor([(p, 1) for p, _ in c.factors if p != 2])
     if k.n == 1:
         return real(c.n // c.rad)
     w = _lagrange_columns(k, k.phi // 2, real)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .numtheory import as_conductor, check_quad_primes, height, is_prime, phi_rad
+from .numtheory import as_conductor, check_quad_primes, height, is_prime
 
 
 class Kind(enum.Enum):
@@ -123,7 +123,7 @@ def cond_exact_twisted(n) -> BoundReport:
     if c.n < 2:
         return _inapplicable(Kind.EXACT_TWISTED, "need n >= 2")
     # prod (1 - 1/p) over the primes of n is phi(rad n) / rad n
-    radicand = Fraction((1 << c.omega) * phi_rad(c), c.rad)
+    radicand = Fraction((1 << c.omega) * c.phi_rad, c.rad)
     return _from_symbolic(Kind.EXACT_TWISTED, SymbolicValue(Fraction(c.phi), radicand))
 
 
@@ -193,7 +193,7 @@ def cond_bound_refined(n) -> BoundReport:
             Kind.BOUND_REFINED,
             f"omega(n) = {c.omega} outside the proven range 1..6")
     e = _REFINED_EXP[c.omega]
-    exact = 4 * phi_rad(c) ** e * c.phi ** 2
+    exact = 4 * c.phi_rad ** e * c.phi ** 2
     sym = SymbolicValue(Fraction(exact))
     return _from_symbolic(Kind.BOUND_REFINED, sym, exponent=2 + e)
 
@@ -259,8 +259,8 @@ def _float_or_inf(x: int) -> float:
 
 def cond_columns(n) -> CondColumns:
     """cond_exact_prime_power, cond_exact_twisted, cond_bound_refined and
-    cond_bound_general at height 1, evaluated from n, omega, phi and rad
-    without building a Fraction or a report.
+    cond_bound_general at height 1, evaluated from the conductor's n, omega,
+    phi, rad and phi_rad without building a Fraction or a report.
 
     Each float is bitwise the report's value: int/int true division rounds
     correctly, as Fraction.__float__ does on the same rational, and the
@@ -269,8 +269,7 @@ def cond_columns(n) -> CondColumns:
     c = as_conductor(n)
     if c.n < 2:
         return CondColumns(math.nan, math.nan, math.nan, math.nan, None)
-    n, omega, phi = c.n, c.omega, c.phi
-    phi_r = phi_rad(c)
+    n, omega, phi, phi_r = c.n, c.omega, c.phi, c.phi_rad
     fphi = float(phi)
     odd_primes = omega - (n % 2 == 0)
     # the primes ascend, so the last is the one odd prime, or 2 for a two-power

@@ -1,7 +1,8 @@
 """Exact integer and polynomial number theory.
 
-Factorization with its multiplicative data, cyclotomic polynomials with
-exact integer coefficients, and their heights (maximum absolute coefficient).
+Factorization into a `Conductor`, which derives its multiplicative data once
+from its factors; cyclotomic polynomials with exact integer coefficients, and
+their heights (maximum absolute coefficient).
 
 Factorization is one trial-division loop, over a constant tuple of the primes
 below 2^10 and then the odd numbers past them; the same loop serves every n.
@@ -12,7 +13,7 @@ at a degree larger than phi(rad(n)).  Heights go one step further, to the odd
 squarefree kernel s of n (the odd part of rad n), since Phi_2s(x) = Phi_s(-x):
 A(n) = A(s), and only the lower half of Phi_s is expanded.  The series is the
 Moebius product prod (1 - x^e)^mu, each factor one in-place pass over a
-single buffer.
+single buffer that turns from int64 to Python ints where it could overflow.
 
 Besides that tuple, the module's only state is the memo `_radical_height`,
 keyed by the odd primes of n when there are three or more: a sweep meets each
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, count
 
 import numpy as np
 
-# int64 headroom for the exact series arithmetic; anything that might exceed
-# this falls back to arbitrary-precision objects.
+# int64 headroom for the exact series arithmetic; a series that might exceed
+# this continues on arbitrary-precision objects.
 _INT64_CAP = 1 << 62
 
 # The primes below 2^10, the trial divisors `factorize` tries first; alone they
@@ -40,42 +41,44 @@ _PRIMES = tuple(p for p in range(2, 1 << 10)
 
 @dataclass(frozen=True)
 class Conductor:
-    """A positive integer with its factorization and multiplicative data.
+    """A positive integer, derived once from its prime factorization.
+
+    `factors` is the only argument, trusted and not checked (primes ascending,
+    exponents >= 1, as `factorize` gives them); the rest is computed from it.
 
     Attributes
     ----------
-    n : int
-        The integer itself.
     factors : tuple of (prime, exponent)
         Prime factorization, primes strictly increasing, exponents >= 1.
+    n : int
+        The integer itself.
     phi : int
         Euler totient.
     rad : int
         Radical (product of the distinct primes).
     omega : int
         Number of distinct prime factors.
+    phi_rad : int
+        phi(rad n), the product of p - 1 over the distinct primes.
     """
 
-    n: int
     factors: tuple
-    phi: int
-    rad: int
-    omega: int
+    n: int = field(init=False)
+    phi: int = field(init=False)
+    rad: int = field(init=False)
+    omega: int = field(init=False)
+    phi_rad: int = field(init=False)
 
     def __post_init__(self):
-        if math.prod(p ** e for p, e in self.factors) != self.n:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
-
-    @classmethod
-    def from_factors(cls, factors) -> Conductor:
-        """The Conductor of prod p^e over (prime, exponent) pairs, primes
-        ascending, without factoring anything."""
-        n = phi = rad = 1
+        factors = tuple(self.factors)
+        n = rad = phi_rad = 1
         for p, e in factors:
             n *= p ** e
-            phi *= p ** (e - 1) * (p - 1)
             rad *= p
-        return cls(n=n, factors=tuple(factors), phi=phi, rad=rad, omega=len(factors))
+            phi_rad *= p - 1
+        for name, value in (("factors", factors), ("n", n), ("phi", n // rad * phi_rad),
+                            ("rad", rad), ("omega", len(factors)), ("phi_rad", phi_rad)):
+            object.__setattr__(self, name, value)
 
 
 def factorize(n: int) -> Conductor:
@@ -84,6 +87,12 @@ def factorize(n: int) -> Conductor:
     Trial division by the primes below 2^10, then by the odd numbers past
     them, up to the square root of the part not yet factored; the primes come
     out ascending.
+
+    Examples
+    --------
+    >>> c = factorize(360)
+    >>> c == Conductor(((2, 3), (3, 2), (5, 1))), (c.n, c.phi, c.rad, c.omega, c.phi_rad)
+    (True, (360, 96, 30, 3, 8))
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"conductor must be a positive integer, got {n!r}")
@@ -105,12 +114,7 @@ def factorize(n: int) -> Conductor:
             limit = math.isqrt(m)
     if m > 1:
         factors.append((m, 1))
-    return Conductor.from_factors(factors)
-
-
-def phi_rad(c: Conductor) -> int:
-    """phi(rad n), from phi(n) = (n / rad n) * phi(rad n)."""
-    return c.phi // (c.n // c.rad)
+    return Conductor(factors)
 
 
 def as_conductor(n) -> Conductor:
@@ -177,10 +181,6 @@ def first_primes(count: int, exclude=()) -> list:
     return out
 
 
-class _Int64Overflow(Exception):
-    pass
-
-
 # A division by (1 - x^e) over fewer rows than this, each at least this long,
 # runs as a loop of row slices (about 1 us a row), else as one cumsum down the
 # columns of the (rows, e) view.  Cumsum vs loop on a 2-core Xeon (numpy 2.4.6,
@@ -190,29 +190,29 @@ class _Int64Overflow(Exception):
 _CUMSUM_MIN_ROWS = 32
 
 
-def _series_run(terms, num_terms: int, exact: bool) -> np.ndarray:
+def _series_run(terms, num_terms: int) -> np.ndarray:
     """prod (1 - x^e)^mu over `terms` mod x^num_terms, for 1 <= e < num_terms.
 
     One buffer of num_terms + max(e) entries is updated in place: a product
     is one shifted subtraction, a division a prefix sum along each residue
     class mod e, over the rows of its (rows, e) view.  The entries past
     num_terms are scratch that pads that view; their values only ever flow
-    upward, so the first num_terms entries stay exact.  int64 runs track an
-    upper bound on the largest magnitude (x2 per product, x rows per
-    division) and take the true maximum only when the bound would pass the
-    test against _INT64_CAP; _Int64Overflow when the true maximum fails it.
+    upward, so the first num_terms entries stay exact.  An int64 buffer
+    tracks an upper bound on its largest magnitude (x2 per product, x rows per
+    division), takes the true maximum only when the bound would pass the test
+    against _INT64_CAP, and turns into Python ints in place if that fails too.
     """
-    a = np.zeros(num_terms + max((e for e, _ in terms), default=0),
-                 dtype=object if exact else np.int64)
+    a = np.zeros(num_terms + max((e for e, _ in terms), default=0), dtype=np.int64)
     a[0] = 1
+    # >= a[0] = 1 while a is int64; 0, which no test trips, once it is object
     bound = 1
     for e, mu in terms:
         rows = -(-num_terms // e)
         growth = 2 if mu > 0 else rows
-        if not exact and bound > _INT64_CAP // growth:
+        if bound > _INT64_CAP // growth:
             bound = int(np.abs(a[:num_terms]).max())
             if bound > _INT64_CAP // growth:
-                raise _Int64Overflow
+                a, bound = a.astype(object), 0
         bound *= growth
         if mu > 0:
             a[e:num_terms] -= a[:num_terms - e]
@@ -232,7 +232,8 @@ def _radical_series(primes, num_terms: int) -> np.ndarray:
     Uses the Moebius product over the divisors e of rad,
     prod (1 - x^e)^{mu(rad/e)} (the sparse power series of Arnold and
     Monagan), expanded in place in one buffer by `_series_run`.  Exact:
-    int64 under a bound check, rerun with Python ints when the check trips.
+    int64 while a bound check passes, Python ints from the first factor
+    where it fails.
     """
     k = len(primes)
     # (1 - x^e) is the identity under truncation once e >= num_terms
@@ -240,17 +241,14 @@ def _radical_series(primes, num_terms: int) -> np.ndarray:
              for r in range(k + 1) for sub in combinations(primes, r)
              if (e := math.prod(sub)) < num_terms]
     terms.sort(reverse=True)
-    try:
-        return _series_run(terms, num_terms, exact=False)
-    except _Int64Overflow:
-        return _series_run(terms, num_terms, exact=True)
+    return _series_run(terms, num_terms)
 
 
 def cyclotomic_poly(n: int) -> np.ndarray:
     """Exact coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Returns an int64 array when every coefficient fits comfortably, otherwise
-    an object array of Python ints.  The result is monic of degree phi(n).
+    Returns an int64 array unless the series had to turn to Python ints (an
+    object array).  The result is monic of degree phi(n).
 
     Examples
     --------
@@ -262,7 +260,7 @@ def cyclotomic_poly(n: int) -> np.ndarray:
     c = as_conductor(n)
     if c.n == 1:
         return np.array([-1, 1], dtype=np.int64)
-    rad_coeffs = _radical_series([p for p, _ in c.factors], phi_rad(c) + 1)
+    rad_coeffs = _radical_series([p for p, _ in c.factors], c.phi_rad + 1)
     stride = c.n // c.rad
     if stride == 1:
         return rad_coeffs
@@ -277,8 +275,7 @@ def _radical_height(primes: tuple) -> int:
     # Phi_s is palindromic, so the lower half carries every coefficient
     # magnitude.
     half = _radical_series(primes, math.prod(p - 1 for p in primes) // 2 + 1)
-    return int(max(abs(int(v)) for v in half) if half.dtype == object
-               else np.abs(half).max())
+    return int(np.abs(half).max())
 
 
 def height(n: int) -> int:
@@ -287,6 +284,11 @@ def height(n: int) -> int:
     A(n) = A(s) for s the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n/rad n))
     only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
     signs.  No series is expanded, and nothing memoized, when omega(s) <= 2.
+
+    Examples
+    --------
+    >>> height(15015), height(255255)
+    (23, 532)
     """
     c = as_conductor(n)
     odd = tuple(p for p, _ in c.factors if p != 2)

@@ -257,10 +257,10 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
     min(s, q-s).
     """
     q, m_cyclo = operator.index(q), operator.index(m_cyclo)
-    if not is_prime(q) or q == 2:
-        raise ValueError(f"q = {q} is not an odd prime")
     if q >= _Q_CAP:
         raise ValueError(f"q = {q} does not fit in 62 bits")
+    if not is_prime(q) or q == 2:
+        raise ValueError(f"q = {q} is not an odd prime")
     if m_cyclo < 1 or m_cyclo & (m_cyclo - 1):
         raise ValueError(f"m_cyclo = {m_cyclo} is not a power of two")
     if (q - 1) % (2 * m_cyclo):

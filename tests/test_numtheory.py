@@ -4,12 +4,16 @@ sympy is the oracle wherever a value is derivable; the classical identities
 (degree, palindromy, values at 0 and 1, height invariance under the radical)
 are asserted as properties.
 """
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringcond
 from ringcond import numtheory as nt
 
 
@@ -67,8 +71,17 @@ def test_factorize_accepts_numpy_ints():
 
 
 def test_conductor_guards_inconsistent_factors():
-    with pytest.raises(ValueError):
-        nt.Conductor(n=6, factors=((2, 1),), phi=2, rad=2, omega=1)
+    # the factorization is the only input; every other field derives from it,
+    # so no n, phi, rad or omega can be handed in that disagrees with it
+    with pytest.raises(TypeError):
+        nt.Conductor(n=6, factors=((2, 1), (3, 1)), phi=99, rad=6, omega=2)
+    assert nt.Conductor(((2, 1), (3, 1))) == nt.factorize(6)
+    for n in range(1, 2001):
+        c = nt.factorize(n)
+        phi_rad = 1
+        for p, _ in c.factors:
+            phi_rad *= p - 1
+        assert c.phi_rad == phi_rad, n
 
 
 def test_as_conductor_passthrough():
@@ -279,28 +292,36 @@ def _int64_trip(terms, num_terms, cap):
     return None
 
 
-@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("promote", [False, True])
 @pytest.mark.parametrize("terms,num_terms", [
     (_series_terms(1155, 481), 481),
     (_series_terms(15015, 2881), 2881),
     ([(1, -1), (1, -1), (3, -1), (40, 1), (70, -1), (2, 1)], 100),
     ([(99, -1), (33, -1), (1, 1), (1, -1)], 100),
 ])
-def test_series_run_matches_python_ints(terms, num_terms, exact):
+def test_series_run_matches_python_ints(terms, num_terms, promote, monkeypatch):
     # both division paths: the row loop (few long rows) and the cumsum
     loops = {-(-num_terms // e) < nt._CUMSUM_MIN_ROWS <= e for e, mu in terms if mu < 0}
     assert loops == {True, False}
-    got = nt._series_run(terms, num_terms, exact)
-    assert got.dtype == (object if exact else np.int64)
+    if promote:
+        # a cap small enough that the run turns object part-way through
+        monkeypatch.setattr(nt, "_INT64_CAP", 128)
+        assert 0 < _int64_trip(terms, num_terms, 128) < len(terms)
+    got = nt._series_run(terms, num_terms)
+    assert got.dtype == (object if promote else np.int64)
     assert [int(v) for v in got] == _python_series(terms, num_terms)
 
 
-def test_series_paths_agree():
+def test_series_paths_agree(monkeypatch):
+    # the int64 series vs one run object from its first factor
     for rad in (15, 105, 255, 385):
         c = nt.factorize(rad)
         num_terms = c.phi + 1
         fast = nt._radical_series([p for p, _ in c.factors], num_terms)
-        slow = nt._series_run(_series_terms(rad, num_terms), num_terms, exact=True)
+        assert fast.dtype == np.int64
+        with monkeypatch.context() as m:
+            m.setattr(nt, "_INT64_CAP", 1)
+            slow = nt._series_run(_series_terms(rad, num_terms), num_terms)
         assert slow.dtype == object
         assert [int(a) for a in fast] == [int(b) for b in slow]
 
@@ -308,8 +329,9 @@ def test_series_paths_agree():
 def test_overflow_fallback_still_exact(monkeypatch):
     # patch the int64 guard's cap so that it trips in the second half of
     # the series of 15015 = 3*5*7*11*13, at exactly the factor where the
-    # largest magnitude could first pass the cap: the object-dtype rerun
-    # carries the run, in the full Phi_15015 and in the lower half behind A(n)
+    # largest magnitude could first pass the cap: the run turns object there
+    # and carries on exactly, in the full Phi_15015 and in the lower half
+    # behind A(n)
     rad = 15015
     primes = (3, 5, 7, 11, 13)
     full = nt.factorize(rad).phi + 1
@@ -324,9 +346,10 @@ def test_overflow_fallback_still_exact(monkeypatch):
                 terms = _series_terms(rad, num_terms)
                 trip = _int64_trip(terms, num_terms, cap)
                 assert len(terms) // 2 <= trip < len(terms)
-                nt._series_run(terms[:trip], num_terms, exact=False)
-                with pytest.raises(nt._Int64Overflow):
-                    nt._series_run(terms[:trip + 1], num_terms, exact=False)
+                assert nt._series_run(terms[:trip], num_terms).dtype == np.int64
+                got = nt._series_run(terms[:trip + 1], num_terms)
+                assert got.dtype == object
+                assert [int(v) for v in got] == _python_series(terms[:trip + 1], num_terms)
             got = nt.cyclotomic_poly(rad)
             assert got.dtype == object
             assert [int(a) for a in got] == [int(b) for b in want]
@@ -335,3 +358,13 @@ def test_overflow_fallback_still_exact(monkeypatch):
         finally:
             monkeypatch.undo()
             nt._radical_height.cache_clear()
+
+
+def test_the_height_memo_is_the_only_cache():
+    # perfbench clears the caches of the ringcond modules imported at its
+    # set-up only, so a cache anywhere else would be timed as hits
+    caches = {(mod.__name__, name)
+              for info in pkgutil.iter_modules(ringcond.__path__)
+              for mod in [importlib.import_module(f"ringcond.{info.name}")]
+              for name, obj in vars(mod).items() if hasattr(obj, "cache_clear")}
+    assert caches == {("ringcond.numtheory", "_radical_height")}

@@ -96,8 +96,10 @@ def test_make_context_validation():
         ra.make_context(17, 1, (4,))  # not squarefree
     import sympy
 
-    with pytest.raises(ValueError):  # prime, but too large for the exact engine
+    with pytest.raises(ValueError, match="62 bits"):  # prime, but too large for the exact engine
         ra.make_context(int(sympy.nextprime(1 << 62)), 2)
+    with pytest.raises(ValueError, match="62 bits"):  # past is_prime's range, refused by width
+        ra.make_context(1 << 90, 1)
 
 
 def test_scalar_ring_is_allowed_but_has_no_transform():
