@@ -20,14 +20,23 @@ two residues stays below 2^64, otherwise object (Python integers) up to the
 62-bit cap.  Both dtypes run the same kernels.  A product of two residues is
 reduced by np.remainder, except in uint64 arrays of at least _DIVIDE_MIN
 entries, which subtract (x // q) * q: numpy divides by a scalar with a
-multiply and a shift, about three times faster than its remainder.  A
+multiply and a shift, about three times faster than its remainder.  An NTT
+stage folds its sums, below 2q, back by one conditional subtraction.  The
+sign-only Hadamard passes skip it: r of them in a row leave entries below
+2^r q (so uint64 needs 2^r q < 2^64, asserted when the plan is built), and
+one reduction runs before the next pass that multiplies, or at the end.
+Transforms of at least _UNBUFFERED_MIN entries run with numpy's buffer size
+lowered to _BUFSIZE, so that the strided views of their passes are not
+copied through buffers; the caller's size is restored on exit.  A
 PolyVec keeps its residues in a read-only array of that dtype, so
 transforms pass arrays from one to the next; PolyVec.values gives the same
 residues as a tuple of Python integers, built on each access.  Every
 coefficient input (ctx.poly, PolyVec, rns_decompose) goes through one
 conversion that accepts integers only, numpy integers included: a float
 raises TypeError.  The schoolbook oracle is pure-int.  Each context carries
-a counter of data-dependent modular multiplications and additions; table
+a counter of data-dependent modular multiplications and additions: one per
+performed multiplication and per butterfly sum or difference, whether it is
+reduced at once or lazily.  Reductions were never counted, and table
 precomputation at context build time is deliberately not counted.
 
 Coefficient layout for the mixed ring: index e*m_cyclo + j holds the
@@ -296,12 +305,19 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
 # ---------------------------------------------------------------------------
 # Transform kernels, on residue arrays of the context's dtype.  A butterfly
 # stage is a handful of numpy operations over a reshaped view that covers
-# every block at once.  Sums stay below 2q (a - b is formed as a + (q - b),
-# so uint64 never goes negative) and are folded back by one conditional
-# subtraction (a remainder for Python ints); products of two residues are
-# reduced by _mod.
+# every block at once.  It forms a - b as a + (B - b) for a bound B above
+# b, so uint64 never goes negative.  A pass with a twist (an NTT stage)
+# enters with residues, takes B = q, and folds its sums, below 2q, back by
+# one conditional subtraction (a remainder for Python ints).  The sign-only
+# Hadamard passes reduce lazily: the i-th of them in a row enters with
+# entries below B = 2^i q and leaves them below 2B, unreduced.  One
+# reduction (a fold after a single pass, else _mod) runs before the next
+# pass that multiplies and at the end of the transform.  In uint64 that
+# needs 2^r q < 2^64, asserted when the plan is built; Python ints need no
+# bound.  Products of two residues are reduced by _mod.
 # Counter increments are batched per transform but tally exactly one mul per
-# performed modular multiplication.
+# performed modular multiplication and one add per modular addition or
+# subtraction; reductions, lazy or not, were never counted.
 
 # Smallest uint64 array that _mod reduces by division rather than by
 # np.remainder.  numpy divides by a scalar with a multiply and a shift
@@ -324,10 +340,10 @@ def _fold(x: np.ndarray, q: int, out: np.ndarray):
 
 
 def _mod(a: np.ndarray, q: int):
-    """a = a mod q in place, a holding products of two residues.  A uint64
-    array of at least _DIVIDE_MIN entries subtracts t = (a // q) * q, exact
-    because t <= a < 2^64 and a - t lies in [0, q); a // q is a fresh
-    contiguous array even when a is a strided view."""
+    """a = a mod q in place.  A uint64 array of at least _DIVIDE_MIN
+    entries subtracts t = (a // q) * q, exact because t <= a < 2^64 and
+    a - t lies in [0, q); a // q is a fresh contiguous array even when a is
+    a strided view."""
     if a.size < _DIVIDE_MIN or a.dtype == object:
         np.remainder(a, q, out=a)
     else:
@@ -342,28 +358,38 @@ def _scale(a: np.ndarray, d, q: int):
     _mod(a, q)
 
 
-def _butterflies(a: np.ndarray, tmp: np.ndarray, shape: tuple, q: int):
-    """(u, v) -> (u + v, u - v) mod q for every pair along axis -2 of
-    a.reshape(shape); tmp is scratch of a's size."""
-    view, s = a.reshape(shape), tmp.reshape(shape)
+def _butterflies(a: np.ndarray, out: np.ndarray, shape: tuple, bound: int):
+    """out = (u + v, u + (bound - v)), unreduced, for every pair (u, v)
+    along axis -2 of a.reshape(shape), every v at most bound; out has a's
+    size and is not a."""
+    view, s = a.reshape(shape), out.reshape(shape)
     v = view[..., 1, :]
     np.copyto(s[..., 0, :], v)
-    np.subtract(q, v, out=s[..., 1, :])
+    np.subtract(bound, v, out=s[..., 1, :])
     np.add(s, view[..., :1, :], out=s)
-    _fold(tmp, q, a)
 
 
 # A transform runs from a plan of passes over the flat residue array, built
 # once per context and direction.  A pass that butterflies index bit b
-# views the array as (rows, 2, cols), rows = 2^(bits stored above b), and
-# numpy pays a fixed cost per row: a pass is fast only when few bits sit
-# above its pair bit.  So each pass picks a layout, the natural index
-# rotated so that its low `rot` bits lead; moving between layouts is one
-# transposing copy.  A phase (the NTT stages, the Hadamard axes) whose
-# deepest pair bit would have more than 2^_MAX_DEPTH rows in natural order
-# runs its later passes in a rotated layout, switching where the deepest
-# pair bits before and after the switch are about equally deep.  On
-# smaller rings the transposes cost about what they save.
+# views the array as (rows, 2, cols), rows = 2^(bits stored above b), so
+# its odd half and twiddle views are strided, in contiguous runs of cols
+# entries.  numpy iterates such an operand through its buffers when the
+# runs are short (see _BUFSIZE), and even unbuffered each run costs a fixed
+# overhead: a pass is fast only when few bits sit above its pair bit.  At
+# m = 65536 a multiplication of the odd half costs about 0.5 ns per uint64
+# entry at up to 8 rows; at 16-64 rows 1.0-1.2 ns under numpy's default
+# buffer size and 0.4-0.75 ns under _BUFSIZE, and at 256-4096 rows
+# 0.8-1.9 ns even under _BUFSIZE (timeit, min of 7, 2-core Xeon, numpy
+# 2.4.6).  So each pass picks a layout, the natural index rotated so that
+# its low `rot` bits lead; moving between layouts is one transposing copy.
+# A phase (the NTT stages, the Hadamard axes) whose deepest pair bit would
+# have more than 2^_MAX_DEPTH rows in natural order runs its later passes
+# in a rotated layout, switching where the deepest pair bits before and
+# after the switch are about equally deep.  On smaller rings the
+# transposes cost about what they save.  Re-measured under _run's
+# unbuffered scope by alternated round trips on the rings of 64-4096
+# entries whose plans it changes: 4 and 6 within noise of 5, 7 up to 19 %
+# slower.
 _MAX_DEPTH = 5
 
 
@@ -456,6 +482,8 @@ def _build_plan(ctx: RingContext, forward: bool) -> _Plan:
         steps = hadamard + ntt[::-1] + diag
     # the WHT forward does not count its unit diagonal entry (e = 0)
     muls = u * (m // 2) + len(diag) * m - (forward and not u)
+    # the r Hadamard passes in a row leave entries below 2^r q unreduced
+    assert ctx._dtype is object or ctx.q << r < 1 << 64
     return _Plan(nbits, tuple(steps), muls, (u + r) * m)
 
 
@@ -464,31 +492,80 @@ def _rotate(src: np.ndarray, d: int, nbits: int, out: np.ndarray):
     np.copyto(out.reshape(1 << d, 1 << (nbits - d)), src.reshape(1 << (nbits - d), 1 << d).T)
 
 
+# numpy sends an operand through its buffers, bufsize entries each, when
+# the operand is not contiguous and its contiguous runs are shorter than
+# half a buffer.  Under the default 8192 that catches the odd halves and
+# twiddle views of every pass with 16 or more rows at m = 65536 (the
+# comment on _MAX_DEPTH gives their cost), and the transposing copies of
+# _rotate.  _run therefore sets the buffer size to _BUFSIZE, which leaves
+# runs of 256 entries and more unbuffered, inside a np.errstate() scope
+# that gives the caller's size back on exit (numpy >= 2.0).
+# Entering the scope costs about 4 us, so arrays below _UNBUFFERED_MIN
+# entries keep the default.  Alternated round trips, median of 20-40, on a
+# 2-core Xeon with numpy 2.4.6: with the scope, rings of 16-1024 entries
+# took 3-4 % longer, of 2048-4096 entries within 2 %, and of 8192-16384
+# entries 12-20 % less.  Buffer sizes 128, 256 and 512 were within 3 % of
+# each other at m = 8192 and 65536; 1024 was 2-5 % slower and 2048 7-27 %.
+_BUFSIZE = 512
+_UNBUFFERED_MIN = 4096
+
+
 def _run(plan: _Plan, x: np.ndarray, ctx: RingContext) -> np.ndarray:
-    """A new natural-order array: the plan applied to x, which is left as is.
-    Works in two buffers, the array and the butterflies' scratch, which
-    trade places at each change of layout."""
+    """A new natural-order array: the plan applied to x, which is left as
+    is."""
+    if x.size < _UNBUFFERED_MIN:
+        return _passes(plan, x, ctx)
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        return _passes(plan, x, ctx)
+
+
+def _passes(plan: _Plan, x: np.ndarray, ctx: RingContext) -> np.ndarray:
+    """The body of _run.  Works in two buffers, the array and the
+    butterflies' output, which trade places at each change of layout and
+    after each unreduced pass."""
     q, nbits = ctx.q, plan.nbits
     a, tmp = np.empty_like(x), np.empty_like(x)
     rot = plan.steps[0].rot
     _rotate(x, rot, nbits, a)
+    lazy = 0  # unreduced Hadamard passes in a row: entries below 2^lazy q
     for st in plan.steps:
         if st.rot != rot:
             _rotate(a, (st.rot - rot) % nbits, nbits, tmp)
             a, tmp, rot = tmp, a, st.rot
+        if st.factors is None:  # a Hadamard axis: sign-only, left unreduced
+            _butterflies(a, tmp, st.bfly, q << lazy)
+            a, tmp, lazy = tmp, a, lazy + 1
+            continue
+        if lazy:
+            a, tmp = _settle(a, tmp, lazy, q)
+            lazy = 0
         odd = a.reshape(st.shape)[st.odd]
-        if st.factors is not None and st.twist_first:
+        if st.twist_first:
             _scale(odd, st.factors, q)
         if st.bfly is not None:
             _butterflies(a, tmp, st.bfly, q)
-        if st.factors is not None and not st.twist_first:
+            _fold(tmp, q, a)
+        if not st.twist_first:
             _scale(odd, st.factors, q)
+    if lazy:
+        a, tmp = _settle(a, tmp, lazy, q)
     ctx.counter.muls += plan.muls
     ctx.counter.adds += plan.adds
     if rot:
         _rotate(a, nbits - rot, nbits, tmp)
         a = tmp
     return a
+
+
+def _settle(a: np.ndarray, tmp: np.ndarray, lazy: int, q: int) -> tuple:
+    """Reduce a, its entries below 2^lazy q, mod q; returns (array,
+    scratch), the array holding the residues."""
+    if lazy == 1:
+        _fold(a, q, tmp)
+        return tmp, a
+    _mod(a, q)
+    return a, tmp
 
 
 def _require(a: PolyVec, domain: Domain):

@@ -688,6 +688,11 @@ def _plan_shapes():
             while mc * blocks <= cap:
                 yield pytest.param(q, mc, blocks, id=f"{q.bit_length()}bit-mc{mc}-b{blocks}")
                 mc <<= 1
+    # r lazy Hadamard passes in a row leave entries below 2^r q: up to 2^44
+    # at q just below 2^32 over 4096 blocks; the 62-bit q runs 8 axes in
+    # two layouts
+    for q, mc, blocks in ((Q_U64, 16, 4096), (Q_U64, 1, 4096), (Q_OBJECT, 4, 256)):
+        yield pytest.param(q, mc, blocks, id=f"top{q.bit_length()}bit-mc{mc}-b{blocks}")
 
 
 @pytest.mark.parametrize("q, mc, blocks", list(_plan_shapes()))
@@ -708,6 +713,36 @@ def test_stage_plans_match_natural_layout_kernels(q, mc, blocks):
     assert (ctx.counter.muls, ctx.counter.adds) == want_inv
     assert np.array_equal(back._arr, _ref_inverse(fa._arr, ctx))
     assert np.array_equal(back._arr, x)
+    # all q - 1 meets the inverse's leading Hadamard passes at their bound
+    top = ctx.poly([q - 1] * ctx.m, ra.Domain.EVALUATION)
+    out = inv(top)
+    for arr in (fa._arr, out._arr):
+        assert ((arr >= 0) & (arr < q)).all()
+    assert np.array_equal(out._arr, _ref_inverse(top._arr, ctx))
+
+
+@pytest.mark.parametrize("bufsize", [None, 4096], ids=["default", "caller-set"])
+def test_transforms_leave_the_callers_buffer_size(monkeypatch, bufsize):
+    big = ra.make_context(Q_U64_2POW30, 1 << 16)
+    small = ctx_cyclo()
+    seen = []
+    passes = ra._passes
+    monkeypatch.setattr(ra, "_passes", lambda *args: seen.append(np.getbufsize()) or passes(*args))
+    outside = np.getbufsize()
+    with np.errstate():
+        if bufsize:
+            np.setbufsize(bufsize)
+        want = np.getbufsize()
+        a = rand_poly(big, random.Random(37))
+        fa = ra.forward(a)
+        assert np.getbufsize() == want
+        assert ra.inverse(fa) == a
+        assert np.getbufsize() == want
+        ra.forward(rand_poly(small, random.Random(37)))
+        assert np.getbufsize() == want
+    assert np.getbufsize() == outside
+    # the large ring ran unbuffered, the small one under the caller's size
+    assert seen == [ra._BUFSIZE, ra._BUFSIZE, want]
 
 
 def test_ntt_65536_against_direct_evaluation():
