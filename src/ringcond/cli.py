@@ -9,7 +9,8 @@ Three subcommands:
           negacyclic NTT against the tensor hybrid at the same dimension;
           counted_ratio divides the forward multiplication counts,
           wall_ratio the median round-trip times (ntt_swap_ms /
-          hybrid_swap_ms); dtype names the array dtype the timed kernels
+          hybrid_swap_ms, their trials alternating one NTT and one hybrid
+          round trip); dtype names the array dtype the timed kernels
           computed in (uint64, or object for q >= 2^32)
   verify  run the cross-module invariant suites
 
@@ -18,9 +19,14 @@ rendered from their exact integer form, so the sweep stays meaningful where
 the general bound reaches 10^350.  cond takes its formula columns from
 formulas.cond_columns, which evaluates them from the conductor's exact
 integers, bitwise equal to the BoundReport functions that remain the
-library API and its oracle.  All columns except the bench timing
+library API and its oracle.  Its numeric columns come from one
+embeddings.FactoredCond per call, which inverts each odd kernel once and
+is dropped when the sweep ends.  All columns except the bench timing
 medians and their wall_ratio are byte-deterministic for a fixed
 configuration.
+
+The argument parser is built once, at import; main only parses with it and
+reports errors through it, so in-process callers do not rebuild it.
 """
 from __future__ import annotations
 
@@ -135,7 +141,9 @@ COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted
 
 
 def _cond_rows(config: SweepConfig):
-    real = linalg.PRECISIONS[config.precision]
+    # one evaluator per sweep: each odd kernel's Lagrange inverse is computed
+    # once, and its norms are dropped with the generator
+    cond = embeddings.FactoredCond(real=linalg.PRECISIONS[config.precision])
     for n in range(max(config.n_min, 2), config.n_max + 1):
         c = factorize(n)
         if config.omega_filter is not None and c.omega != config.omega_filter:
@@ -145,10 +153,9 @@ def _cond_rows(config: SweepConfig):
         closed, twisted, refined, over_a, over_a_exact = formulas.cond_columns(c)
         num_p = num_t = None
         if 0 < c.phi <= config.numeric_cap:
-            num_p = embeddings.factored_cond(EmbeddingSpec(c), real=real)
+            num_p = cond(EmbeddingSpec(c))
             # for a prime power the twisted matrix is the power matrix
-            num_t = num_p if c.omega == 1 else embeddings.factored_cond(
-                EmbeddingSpec(c, basis=Basis.TWISTED), real=real)
+            num_t = num_p if c.omega == 1 else cond(EmbeddingSpec(c, basis=Basis.TWISTED))
         # an inapplicable formula gives NaN, which _fmt prints as an empty cell
         yield [
             n, c.omega, c.phi, c.rad, height(c),
@@ -184,15 +191,18 @@ BENCH_HEADER = ["m_cyclo", "r", "m_total", "q", "dtype",
                 "ntt_swap_ms", "hybrid_swap_ms", "wall_ratio"]
 
 
-def _timed_swap(poly, trials: int) -> float:
-    samples = []
+def _timed_swaps(polys, trials: int) -> list:
+    # median round-trip ms per poly; each trial times one round trip of every
+    # poly in turn, so drift of the machine falls on all of them alike
+    samples = [[] for _ in polys]
     for _ in range(trials):
-        t0 = time.perf_counter()
-        back = ringarith.inverse(ringarith.forward(poly))
-        samples.append((time.perf_counter() - t0) * 1e3)
-        if back != poly:
-            raise AssertionError("swap round-trip violated during bench")
-    return statistics.median(samples)
+        for poly, times in zip(polys, samples):
+            t0 = time.perf_counter()
+            back = ringarith.inverse(ringarith.forward(poly))
+            times.append((time.perf_counter() - t0) * 1e3)
+            if back != poly:
+                raise AssertionError("swap round-trip violated during bench")
+    return [statistics.median(times) for times in samples]
 
 
 def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> int:
@@ -209,7 +219,7 @@ def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> 
     data = [rng.randrange(q) for _ in range(m_total)]
     base_poly = base_ctx.poly(data)
 
-    def measure(ctx, poly):
+    def count(ctx, poly):
         ctx.reset_counter()
         f = ringarith.forward(poly)
         fwd_counts = (ctx.counter.muls, ctx.counter.adds)
@@ -217,16 +227,18 @@ def cmd_bench(m_cyclo: int, r: int, q_bits: int, trials: int, out_path: str) -> 
         ringarith.inverse(f)
         inv_counts = (ctx.counter.muls, ctx.counter.adds)
         ctx.reset_counter()
-        ms = _timed_swap(poly, trials)
-        return fwd_counts, inv_counts, ms
+        return fwd_counts, inv_counts
 
     try:
-        base_f, base_i, base_ms = measure(base_ctx, base_poly)
+        base_f, base_i = count(base_ctx, base_poly)
         if r == 0:
-            hyb_f, hyb_i, hyb_ms = base_f, base_i, base_ms
+            hyb_f, hyb_i = base_f, base_i
+            base_ms = hyb_ms = _timed_swaps([base_poly], trials)[0]
         else:
             hyb_ctx = ringarith.make_context(q, m_cyclo, quad_d)
-            hyb_f, hyb_i, hyb_ms = measure(hyb_ctx, hyb_ctx.poly(data))
+            hyb_poly = hyb_ctx.poly(data)
+            hyb_f, hyb_i = count(hyb_ctx, hyb_poly)
+            base_ms, hyb_ms = _timed_swaps([base_poly, hyb_poly], trials)
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -290,9 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; main only parses with it and reports errors
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "cond":
         if args.omega == "any":
             omega = None
@@ -300,28 +315,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 omega = int(args.omega)
             except ValueError:
-                parser.error(f"--omega must be an integer or 'any', got {args.omega!r}")
+                _PARSER.error(f"--omega must be an integer or 'any', got {args.omega!r}")
             if not 1 <= omega <= 6:
-                parser.error("--omega must lie in 1..6")
+                _PARSER.error("--omega must lie in 1..6")
         if args.max > args.limit:
-            parser.error(f"--max {args.max} exceeds the sweep limit {args.limit}; "
-                         f"raise --limit if intended")
+            _PARSER.error(f"--max {args.max} exceeds the sweep limit {args.limit}; "
+                          f"raise --limit if intended")
         try:
             config = SweepConfig(args.min, args.max, omega, numeric_cap=args.numeric_cap,
                                  out_path=args.out, precision=args.precision)
         except ValueError as exc:
-            parser.error(str(exc))
+            _PARSER.error(str(exc))
         return cmd_cond(config)
 
     if args.command == "bench":
         if args.mcyclo < 2 or args.mcyclo & (args.mcyclo - 1):
-            parser.error("--mcyclo must be a power of two >= 2")
+            _PARSER.error("--mcyclo must be a power of two >= 2")
         if args.r < 0:
-            parser.error("--r must be nonnegative")
+            _PARSER.error("--r must be nonnegative")
         if not 8 <= args.qbits <= 62:
-            parser.error("--qbits must lie in [8, 62]")
+            _PARSER.error("--qbits must lie in [8, 62]")
         if args.trials < 1:
-            parser.error("--trials must be positive")
+            _PARSER.error("--trials must be positive")
         return cmd_bench(args.mcyclo, args.r, args.qbits, args.trials, args.out)
 
     return cmd_verify(args.full)

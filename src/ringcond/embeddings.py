@@ -21,7 +21,7 @@ O(phi^2) Lagrange formula of `cyclotomic_vandermonde_inverse`, the one
 explicit inverse in the package: it divides the exact integer Phi_s
 synthetically by (x - zeta) for every root at once, over the closed-form
 derivatives Phi_s'(zeta).  The numeric columns of `ringcond cond` come from
-`factored_cond`.
+one `FactoredCond` per sweep, which computes ||W||_F once per kernel s.
 
 Every Vandermonde is built here from a validated conductor, so its roots are
 distinct by construction (at least 2 sin(pi/n) apart), and is refused before
@@ -265,22 +265,45 @@ def numeric_cond(spec: EmbeddingSpec, *, real=np.float64):
     return linalg.condition_number(embedding_matrix(spec, real=real))
 
 
-def _cyclotomic_cond(n: int, *, real=np.float64):
-    # (n / rad n) kappa_F(V_s) for s the odd part of rad n (see factored_cond).
-    # The real and cap guards run on n: a kernel s = 1 builds no Vandermonde.
-    _check_real(real)
-    c = _vandermonde_conductor(n)
-    k = Conductor([(p, 1) for p, _ in c.factors if p != 2])
-    if k.n == 1:
-        return real(c.n // c.rad)
-    w = _lagrange_columns(k, k.phi // 2, real)
-    return real(c.n // c.rad * k.phi) * np.sqrt(real(2)) * linalg.frobenius(w)
-
-
 def _quadratic_cond(p: int, *, real=np.float64):
     # ||B||_F^2 / |det B| for the 2x2 block B (see factored_cond)
     b = quadratic_block(p, real=real)
     return (b * b).sum() / abs(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+
+
+class FactoredCond:
+    """`factored_cond` at one precision, for the many specs of a sweep.
+
+    `FactoredCond(real=real)(spec)` is bitwise `factored_cond(spec,
+    real=real)`.  The evaluator keeps a dict from each odd squarefree kernel
+    s to ||W_s||_F, the norm before any scaling, so the specs it is applied
+    to invert each kernel once.  The dict lives and dies with the evaluator.
+    """
+
+    def __init__(self, *, real=np.float64):
+        _check_real(real)
+        self.real = real
+        self._norms = {}
+
+    def __call__(self, spec: EmbeddingSpec):
+        cyclo, quad = _kron_factors(spec)
+        return math.prod([self._cyclotomic(n) for n in cyclo]
+                         + [_quadratic_cond(p, real=self.real) for p in quad])
+
+    def _cyclotomic(self, n):
+        # (n / rad n) kappa_F(V_s) for s the odd part of rad n (see
+        # factored_cond); phi(s) = phi(rad n).  The cap guard runs on n, and
+        # a kernel s = 1 builds no Vandermonde.
+        real = self.real
+        c = _vandermonde_conductor(n)
+        s = c.rad if c.n % 2 else c.rad // 2
+        if s == 1:
+            return real(c.n // c.rad)
+        norm = self._norms.get(s)
+        if norm is None:
+            k = Conductor([(p, 1) for p, _ in c.factors if p != 2])
+            norm = self._norms[s] = linalg.frobenius(_lagrange_columns(k, k.phi // 2, real))
+        return real(c.n // c.rad * c.phi_rad) * np.sqrt(real(2)) * norm
 
 
 def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
@@ -298,7 +321,8 @@ def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     B^-1 = adj B / det B and ||adj B||_F = ||B||_F.  A
     Vandermonde factor with phi(n) above MAX_DIMENSION is refused, whatever
     its kernel, as `embedding_matrix` refuses the whole matrix.
+
+    This is a fresh `FactoredCond` applied once, so it keeps nothing between
+    calls; a sweep makes one `FactoredCond` and reuses each kernel's ||W||_F.
     """
-    cyclo, quad = _kron_factors(spec)
-    return math.prod([_cyclotomic_cond(n, real=real) for n in cyclo]
-                     + [_quadratic_cond(p, real=real) for p in quad])
+    return FactoredCond(real=real)(spec)

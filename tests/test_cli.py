@@ -124,18 +124,39 @@ def test_cond_extended_precision_flag(tmp_path, monkeypatch):
     # the two precisions print the same digits on every small conductor, so
     # check that the flag reaches the numbers through the dtype they get
     seen = []
-    inner = embeddings.factored_cond
-    monkeypatch.setattr(embeddings, "factored_cond",
-                        lambda spec, *, real: seen.append(real) or inner(spec, real=real))
+
+    class Spy(embeddings.FactoredCond):
+        def __call__(self, spec):
+            seen.append(self.real)
+            return super().__call__(spec)
+
+    monkeypatch.setattr(embeddings, "FactoredCond", Spy)
     for precision, real in (("extended", np.longdouble), ("double", np.float64)):
         seen.clear()
         _cond_at(tmp_path, precision, 105)
         assert len(seen) == 2 and all(r is real for r in seen)
 
 
-def test_precision_flag_is_scoped_to_one_call(tmp_path):
-    assert cli.main(["--precision", "extended", "cond", "--min", "16", "--max", "16",
-                     "--out", str(tmp_path / "ext.csv")]) == 0
+def test_precision_flag_is_scoped_to_one_call(tmp_path, monkeypatch):
+    made = []
+
+    class Spy(embeddings.FactoredCond):
+        def __init__(self, *, real):
+            made.append(real)
+            super().__init__(real=real)
+
+    def sweep(name, *pre):
+        out = tmp_path / name
+        assert cli.main([*pre, "cond", "--min", "2", "--max", "300", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    monkeypatch.setattr(embeddings, "FactoredCond", Spy)
+    first = sweep("first.csv")
+    sweep("ext.csv", "--precision", "extended")
+    # neither the shared parser's defaults nor the kernel norms of the
+    # extended sweep reach the next call, which makes its own evaluator
+    assert sweep("after.csv") == first
+    assert made == [np.float64, np.longdouble, np.float64]
     assert type(factored_cond(EmbeddingSpec(16))) is np.float64
 
 
@@ -258,6 +279,19 @@ def test_bench_pure_cyclotomic_degenerates_to_baseline(tmp_path):
     assert row["ntt_fwd_muls"] == row["hybrid_fwd_muls"]
     assert float(row["counted_ratio"]) == 1.0
     assert float(row["asymptotic_ratio"]) == 1.0
+
+
+def test_bench_alternates_its_timed_round_trips(tmp_path, monkeypatch):
+    # one NTT and one hybrid round trip per trial, so drift of the machine
+    # falls on both medians alike; each ring first runs once, untimed, for
+    # its op counts
+    rings = []
+    inner = ringarith.forward
+    monkeypatch.setattr(ringarith, "forward",
+                        lambda a: rings.append(ringarith.family(a.ctx)) or inner(a))
+    assert cli.main(["bench", "--mcyclo", "4", "--r", "2", "--qbits", "14",
+                     "--trials", "3", "--out", str(tmp_path / "bench.csv")]) == 0
+    assert rings == ["ntt", "hybrid"] * 4
 
 
 def test_bench_default_configuration_stays_on_uint64(tmp_path):

@@ -396,6 +396,23 @@ def test_factored_cond_twisted_beyond_materialization_cap():
         factored_cond(EmbeddingSpec(2**14))  # one Vandermonde factor of dimension 8192
 
 
+@pytest.mark.parametrize("precision", sorted(linalg.PRECISIONS))
+def test_sweep_evaluator_matches_fresh_calls(precision):
+    # one evaluator across every n <= 2310 with phi <= 512, both bases, as a
+    # cond sweep shares it: kernel norms computed for earlier conductors must
+    # give each value bitwise, and in the same dtype, as a fresh call does
+    real = linalg.PRECISIONS[precision]
+    cond = embeddings.FactoredCond(real=real)
+    conductors = [c for c in map(factorize, range(2, 2311)) if c.phi <= 512]
+    for c in conductors:
+        for basis in (Basis.POWER, Basis.TWISTED):
+            spec = EmbeddingSpec(c, basis=basis)
+            got, want = cond(spec), factored_cond(spec, real=real)
+            assert got == want and type(got) is type(want), (c.n, basis)
+    kernels = {math.prod(p for p, _ in c.factors if p != 2) for c in conductors}
+    assert len(cond._norms) == len(kernels - {1})
+
+
 # ---------------------------------------------------------------------------
 # the exact cyclotomic path of factored_cond against an independent oracle
 
