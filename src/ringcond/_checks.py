@@ -239,7 +239,8 @@ def check_rns_roundtrip(trials: int = 200, seed: int = 5150) -> List[str]:
 
 
 def check_explicit_inverse(ns: Tuple[int, ...] = (5, 8, 16, 36)) -> List[str]:
-    """The exact-Phi_n inverse that factored_cond uses vs LU inversion."""
+    """The exact-Phi_n inverse, factored_cond's oracle in the tests, vs LU
+    inversion."""
     out = []
     for n in ns:
         v = embeddings.cyclotomic_vandermonde(n)

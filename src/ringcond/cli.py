@@ -20,10 +20,10 @@ the general bound reaches 10^350.  cond takes its formula columns from
 formulas.cond_columns, which evaluates them from the conductor's exact
 integers, bitwise equal to the BoundReport functions that remain the
 library API and its oracle.  Its numeric columns come from one
-embeddings.FactoredCond per call, which inverts each odd kernel once and
-is dropped when the sweep ends.  All columns except the bench timing
-medians and their wall_ratio are byte-deterministic for a fixed
-configuration.
+embeddings.FactoredCond per call, which sums each odd kernel's norm once
+by Parseval's identity, inverting nothing, and is dropped when the sweep
+ends.  All columns except the bench timing medians and their wall_ratio
+are byte-deterministic for a fixed configuration.
 
 The argument parser is built once, at import; main only parses with it and
 reports errors through it, so in-process callers do not rebuild it.
@@ -141,8 +141,8 @@ COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted
 
 
 def _cond_rows(config: SweepConfig):
-    # one evaluator per sweep: each odd kernel's Lagrange inverse is computed
-    # once, and its norms are dropped with the generator
+    # one evaluator per sweep: each odd kernel's norm is summed once, and
+    # the norms are dropped with the generator
     cond = embeddings.FactoredCond(real=linalg.PRECISIONS[config.precision])
     for n in range(max(config.n_min, 2), config.n_max + 1):
         c = factorize(n)

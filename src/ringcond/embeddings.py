@@ -16,12 +16,29 @@ Each cyclotomic Vandermonde factor V_n is reduced to its odd squarefree
 kernel s, the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n / rad n)) and
 Phi_2s(x) = Phi_s(-x) give kappa_F(V_n) = (n / rad n) kappa_F(V_s) exactly,
 and the conjugate root's column of V_s^-1 is the conjugate column, so only
-the phi(s)/2 columns of the roots k < s/2 are computed.  They come from the
-O(phi^2) Lagrange formula of `cyclotomic_vandermonde_inverse`, the one
-explicit inverse in the package: it divides the exact integer Phi_s
-synthetically by (x - zeta) for every root at once, over the closed-form
-derivatives Phi_s'(zeta).  The numeric columns of `ringcond cond` come from
-one `FactoredCond` per sweep, which computes ||W||_F once per kernel s.
+the half W of the columns, at the roots k_j < s/2, is summed.  ||W||_F
+comes from Parseval's identity over the s-th roots of unity, not from the
+inverse.  Column j of V_s^-1 holds the coefficients of the Lagrange
+polynomial L_j = Phi_s / ((x - zeta_j) Phi_s'(zeta_j)) of degree < s, so
+||L_j||^2 = (1/s) sum_{w^s = 1} |L_j(w)|^2; L_j is 1 at zeta_j and 0 at the
+other primitive roots.  With c(r) = 2 |sin(pi r/s)| that gives
+
+    ||W||_F^2 = (1/s) sum_{k_j < s/2} [1 + A_j^-2 sum_{gcd(k, s) > 1}
+                                               B_k^2 / c(k - k_j)^2]
+
+with A_j = |Phi_s'(zeta_j)| = s prod_{e | s, e > 1} c(k_j s/e)^mu(e), the
+modulus of `_cyclotomic_derivative`, and B_k = |Phi_s(zeta^k)| =
+exp Lambda(g) prod_{d | s, s does not divide kd} c(kd)^mu(s/d) for
+g = gcd(k, s): the factors of Phi_s = prod_{d | s} (x^d - 1)^mu(s/d) that
+vanish at zeta^k cancel to exp Lambda(g), which is g for a prime g and 1
+otherwise.  Every term is positive, so nothing cancels, and each is one
+gather from one table of c over r mod s: O((s - phi(s)) phi(s)/2) work with
+no loop over phi.  A prime s has only w = 1 outside the primitive roots.
+`cyclotomic_vandermonde_inverse`, the one explicit inverse in the package,
+divides the exact integer Phi_n synthetically by (x - zeta) for every root
+at once, over the closed-form derivatives Phi_n'(zeta); the tests hold the
+Parseval norm to it.  The numeric columns of `ringcond cond` come from one
+`FactoredCond` per sweep, which computes ||W||_F once per kernel s.
 
 Every Vandermonde is built here from a validated conductor, so its roots are
 distinct by construction (at least 2 sin(pi/n) apart), and is refused before
@@ -54,6 +71,10 @@ _PI_STR = "3.14159265358979323846264338327950288419716939937510582097494459"
 
 # the largest matrix or Vandermonde factor any evaluator materializes
 MAX_DIMENSION = 4096
+
+# entries of the (column x non-primitive root) block that one pass of
+# `_half_inverse_norm2` gathers, so its scratch memory is bounded whatever s
+_NORM_BLOCK = 1 << 16
 
 
 class Basis(enum.Enum):
@@ -129,6 +150,13 @@ def _units(c: Conductor) -> np.ndarray:
     return ks[np.gcd(ks, c.n) == 1]
 
 
+def _chord(r, s: int, real) -> np.ndarray:
+    # 2 |sin(pi r/s)| for integers 0 <= r <= s, its sine taken at the angle
+    # folded into [0, pi/2]
+    pi = _two_pi(real) / real(2)
+    return 2 * np.sin(pi * np.minimum(r, s - r).astype(real) / real(s))
+
+
 def _cyclotomic_derivative(c: Conductor, *, real=np.float64) -> np.ndarray:
     """Phi_n'(zeta_k) at the roots of `primitive_roots_of_unity`, free of
     cancellation.
@@ -148,10 +176,9 @@ def _cyclotomic_derivative(c: Conductor, *, real=np.float64) -> np.ndarray:
     for w in range(1, len(primes) + 1):
         for sub in itertools.combinations(primes, w):
             s, mu = math.prod(sub), (-1) ** w
-            # chord 2 sin(pi k/s), its sine taken at an angle in (0, pi/2]
+            # the signed chord 2 sin(pi k/s)
             m = ks % (2 * s)
-            r = m % s
-            chord = 2 * np.sin(pi * np.minimum(r, s - r).astype(real) / real(s))
+            chord = _chord(m % s, s, real)
             chord = np.where(m > s, -chord, chord)
             amp = amp * chord if mu > 0 else amp / chord
             turns += mu * (n + 2 * ks * (n // s))
@@ -188,20 +215,6 @@ def _exact_cast(coeffs: np.ndarray, real) -> np.ndarray:
     return out
 
 
-def _lagrange_columns(c: Conductor, cols: int, real) -> np.ndarray:
-    # the first `cols` columns of V_n^-1: one synthetic division of the exact
-    # Phi_n by (x - zeta_j), vectorized across those roots, over Phi_n'(zeta_j)
-    roots = primitive_roots_of_unity(c, real=real)[:cols]
-    p = _exact_cast(cyclotomic_poly(c), real)
-    q = np.empty((c.phi, cols), dtype=roots.dtype)
-    q[-1] = 1  # Phi_n is monic
-    for i in range(c.phi - 2, -1, -1):
-        np.multiply(roots, q[i + 1], out=q[i])
-        q[i] += p[i + 1]
-    q /= _cyclotomic_derivative(c, real=real)[:cols]
-    return q
-
-
 def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
     """Inverse of `cyclotomic_vandermonde(n)` in O(phi(n)^2).
 
@@ -211,7 +224,54 @@ def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
     columns, over the closed-form derivatives Phi_n'(zeta_j).
     """
     c = _vandermonde_conductor(n)
-    return _lagrange_columns(c, c.phi, real)
+    roots = primitive_roots_of_unity(c, real=real)
+    p = _exact_cast(cyclotomic_poly(c), real)
+    q = np.empty((c.phi, c.phi), dtype=roots.dtype)
+    q[-1] = 1  # Phi_n is monic
+    for i in range(c.phi - 2, -1, -1):
+        np.multiply(roots, q[i + 1], out=q[i])
+        q[i] += p[i + 1]
+    q /= _cyclotomic_derivative(c, real=real)
+    return q
+
+
+def _half_inverse_norm2(k: Conductor, real):
+    # ||W||_F^2 over the columns of V_s^-1 at the roots k_j < s/2, s = k.n odd
+    # squarefree > 1, by Parseval over the s-th roots (module docstring)
+    s = k.n
+    primes = [p for p, _ in k.factors]
+    divisors = [(math.prod(sub), (-1) ** w)
+                for w in range(len(primes) + 1)
+                for sub in itertools.combinations(primes, w)]
+    ks = np.arange(s)
+    chord = _chord(ks, s, real)
+    # c(0) = 0 is read only as a vanishing factor of some B_k, and those
+    # cancel to exp Lambda(g)
+    chord[0] = 1
+    g = np.gcd(ks, s)
+    half = ks[g == 1][:k.phi // 2]
+    outer, g = ks[g > 1], g[g > 1]
+    # A_j = |Phi_s'(zeta_j)| = s prod_{e | s, e > 1} c(k_j s/e)^mu(e)
+    amp = np.full(half.size, real(s))
+    for e, mu in divisors[1:]:
+        f = chord[half * (s // e) % s]
+        amp = amp * f if mu > 0 else amp / f
+    # B_k = |Phi_s(zeta^k)| = exp Lambda(g) prod_{d | s, kd != 0 mod s}
+    # c(kd)^mu(s/d), with mu(s/d) = mu(s) mu(d)
+    mu_s = (-1) ** len(primes)
+    b = np.where(np.isin(g, primes), g, 1).astype(real)
+    for d, mu in divisors:
+        f = chord[outer * d % s]
+        b = b * f if mu * mu_s > 0 else b / f
+    b2 = b * b
+    inv2 = 1 / (chord * chord)  # k_j - k is never 0 mod s
+    rows = max(1, _NORM_BLOCK // outer.size)
+    total = real(0)
+    for i in range(0, half.size, rows):
+        block = inv2[np.abs(np.subtract.outer(half[i:i + rows], outer))]
+        a = amp[i:i + rows]
+        total += (1 + (block @ b2) / (a * a)).sum()
+    return total / real(s)
 
 
 def quadratic_block(p: int, *, real=np.float64) -> np.ndarray:
@@ -277,7 +337,8 @@ class FactoredCond:
     `FactoredCond(real=real)(spec)` is bitwise `factored_cond(spec,
     real=real)`.  The evaluator keeps a dict from each odd squarefree kernel
     s to ||W_s||_F, the norm before any scaling, so the specs it is applied
-    to invert each kernel once.  The dict lives and dies with the evaluator.
+    to sum each kernel's Parseval identity once.  The dict lives and dies
+    with the evaluator.
     """
 
     def __init__(self, *, real=np.float64):
@@ -302,27 +363,30 @@ class FactoredCond:
         norm = self._norms.get(s)
         if norm is None:
             k = Conductor([(p, 1) for p, _ in c.factors if p != 2])
-            norm = self._norms[s] = linalg.frobenius(_lagrange_columns(k, k.phi // 2, real))
+            norm = self._norms[s] = np.sqrt(_half_inverse_norm2(k, real))
         return real(c.n // c.rad * c.phi_rad) * np.sqrt(real(2)) * norm
 
 
 def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix, by factors.
 
-    Equals `numeric_cond(spec)` up to rounding, in O(d^2) time and memory for
-    the largest Vandermonde kernel of dimension d, and inverts no matrix: the
-    product of kappa_F over the Kronecker factors of `embedding_matrix`.  A
-    cyclotomic factor V_n gives (n / rad n) kappa_F(V_s) with s the odd part
-    of rad n (Phi_n(x) = Phi_rad n(x^(n / rad n)), Phi_2s(x) = Phi_s(-x)), and
-    kappa_F(V_s) = phi(s) sqrt(2) ||W||_F from the half W of the columns of
-    V_s^-1 whose roots lie in the upper half-plane (kappa_F(V_1) = 1); so a
-    twisted prime-power factor p^e costs kappa_F(V_p), and n = 2^e no
-    division.  A quadratic block B gives ||B||_F^2 / |det B|, exact since
-    B^-1 = adj B / det B and ||adj B||_F = ||B||_F.  A
-    Vandermonde factor with phi(n) above MAX_DIMENSION is refused, whatever
-    its kernel, as `embedding_matrix` refuses the whole matrix.
+    Equals `numeric_cond(spec)` up to rounding, in O((s - phi(s)) phi(s))
+    time and bounded scratch memory for the largest odd squarefree kernel s,
+    and inverts no matrix: the product of kappa_F over the Kronecker factors
+    of `embedding_matrix`.  A cyclotomic factor V_n gives (n / rad n)
+    kappa_F(V_s) with s the odd part of rad n (Phi_n(x) = Phi_rad n(x^(n /
+    rad n)), Phi_2s(x) = Phi_s(-x)), and kappa_F(V_s) = phi(s) sqrt(2)
+    ||W||_F from the half W of the columns of V_s^-1 whose roots lie in the
+    upper half-plane, its norm summed by Parseval's identity (module
+    docstring; kappa_F(V_1) = 1); so a twisted prime-power factor p^e costs
+    kappa_F(V_p), and n = 2^e no sum.  A quadratic block B gives
+    ||B||_F^2 / |det B|, exact since B^-1 = adj B / det B and ||adj B||_F =
+    ||B||_F.  A Vandermonde factor with phi(n) above MAX_DIMENSION is
+    refused, whatever its kernel, as `embedding_matrix` refuses the whole
+    matrix.
 
     This is a fresh `FactoredCond` applied once, so it keeps nothing between
     calls; a sweep makes one `FactoredCond` and reuses each kernel's ||W||_F.
     """
     return FactoredCond(real=real)(spec)
+

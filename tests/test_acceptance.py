@@ -344,8 +344,8 @@ def test_criterion_7_appendix_properties():
     #     identity for all n <= 1e4; (b) the omega 4..6 height estimates
     #     dominate true heights for all squarefree n <= 1e5; (c) the root
     #     derivative inequality on 20 sampled conductors; (d) the exact-Phi_n
-    #     inverse that factored_cond uses agrees with LU inversion through
-    #     phi(n) <= 512.
+    #     inverse, the oracle of factored_cond's Parseval norm, agrees with
+    #     LU inversion through phi(n) <= 512.
     t0 = time.perf_counter()
     N = 10**4
 

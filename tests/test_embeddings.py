@@ -7,6 +7,7 @@ coefficients, mpmath roots and fixed-point integer arithmetic."""
 import functools
 import math
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from ringcond.embeddings import (
     quadratic_block,
 )
 from ringcond.formulas import cond_exact_twisted, cond_quadratic
-from ringcond.numtheory import cyclotomic_poly, factorize, first_primes
+from ringcond.numtheory import cyclotomic_poly, factorize, first_primes, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +480,73 @@ def test_cyclotomic_derivative_matches_root_products(n, real):
     want = np.array([np.prod(z - np.delete(roots, j)) for j, z in enumerate(roots)])
     assert got.dtype == roots.dtype
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Parseval norm of factored_cond against the explicit Lagrange inverse
+# and against exact values
+
+
+def _half_lagrange_norm(s, real):
+    # ||W||_F from the columns of the explicit inverse at the roots k < s/2
+    c = factorize(s)
+    w = embeddings.cyclotomic_vandermonde_inverse(c, real=real)
+    return linalg.frobenius(w[:, :c.phi // 2])
+
+
+@pytest.mark.parametrize("precision,tol", [("double", 1e-14), ("extended", 1e-17)])
+def test_parseval_norm_matches_lagrange_inverse(precision, tol):
+    # every odd squarefree kernel with phi(s) <= 512: below 15015 (omega 5)
+    # s / phi(s) is at most 1155 / 480 < 3
+    real = linalg.PRECISIONS[precision]
+    kernels = [c for c in map(factorize, range(3, 3 * 512, 2))
+               if c.n == c.rad and c.phi <= 512]
+    assert len(kernels) == 257
+    for k in kernels:
+        got = np.sqrt(embeddings._half_inverse_norm2(k, real))
+        want = _half_lagrange_norm(k.n, real)
+        assert type(got) is real
+        assert abs(got - want) <= tol * want, (k.n, float(abs(got - want) / want))
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+def test_parseval_norm_of_a_prime_kernel(real):
+    # each column of V_p^-1 has squared norm 2/p, so ||W_p||^2 = (p - 1)/p
+    for p in filter(is_prime, range(3, 4100, 2)):
+        got = embeddings._half_inverse_norm2(factorize(p), real)
+        want = real(p - 1) / real(p)
+        assert abs(got - want) <= 4 * np.spacing(want), p
+
+
+@pytest.mark.parametrize("precision,tol", [("double", 2e-15), ("extended", 1e-18)])
+@pytest.mark.parametrize("s,N", [(7, 12), (15, 36), (105, 1160), (165, 2592), (231, 4544)])
+def test_parseval_norm_matches_exact_gram_trace(s, N, precision, tol):
+    # N = s Tr(G_s^-1) for the Gram matrix G_s = V_s^* V_s, from exact
+    # Fraction Gauss-Jordan; kappa_F(V_s)^2 = phi^2 Tr(G_s^-1) =
+    # 2 phi^2 ||W||^2, so ||W||^2 = N / (2s)
+    real = linalg.PRECISIONS[precision]
+    got = embeddings._half_inverse_norm2(factorize(s), real)
+    want = real(N) / real(2 * s)
+    assert abs(got - want) <= tol * want, (s, float(abs(got - want) / want))
+
+
+def test_parseval_norm_scratch_memory_is_bounded():
+    # s = 8715 (phi 3936) has the largest (non-primitive root x column)
+    # block under MAX_DIMENSION, 4779 x 1968 entries: 72 MiB at double in one
+    # piece, so only the chunking keeps the traced peak low
+    norms = {}
+    for real in (np.float64, np.longdouble):
+        cond = embeddings.FactoredCond(real=real)
+        tracemalloc.start()
+        try:
+            cond(EmbeddingSpec(8715))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, (real, peak)
+        norms[real] = cond._norms[8715]
+    want = _half_lagrange_norm(8715, np.float64)
+    assert abs(norms[np.float64] - want) <= 1e-13 * want
 
 
 def test_exact_cast_refuses_to_round():
