@@ -19,10 +19,10 @@ rendered from their exact integer form, so the sweep stays meaningful where
 the general bound reaches 10^350.  cond takes its formula columns from
 formulas.cond_columns, which evaluates them from the conductor's exact
 integers, bitwise equal to the BoundReport functions that remain the
-library API and its oracle.  Its numeric columns come from one
-embeddings.FactoredCond per call, which sums each odd kernel's norm once
-by Parseval's identity, inverting nothing, and is dropped when the sweep
-ends.  All columns except the bench timing medians and their wall_ratio
+library API and its oracle.  Per call it keeps a dict of heights and one
+embeddings.FactoredCond, both by odd kernel, so each kernel's height series
+and Parseval norm run once, inverting nothing; both are dropped when the
+sweep ends.  All columns except the bench timing medians and their wall_ratio
 are byte-deterministic for a fixed configuration.
 
 The argument parser is built once, at import; main only parses with it and
@@ -141,13 +141,19 @@ COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted
 
 
 def _cond_rows(config: SweepConfig):
-    # one evaluator per sweep: each odd kernel's norm is summed once, and
-    # the norms are dropped with the generator
+    # one evaluator and one height memo per sweep, both keyed by the odd
+    # squarefree kernel s of n (A(n) = A(s)): each kernel's norm is summed
+    # and its height series run once, and both are dropped with the generator
     cond = embeddings.FactoredCond(real=linalg.PRECISIONS[config.precision])
+    heights = {}
     for n in range(max(config.n_min, 2), config.n_max + 1):
         c = factorize(n)
         if config.omega_filter is not None and c.omega != config.omega_filter:
             continue
+        s = c.rad if n % 2 else c.rad // 2
+        a = heights.get(s)
+        if a is None:
+            a = heights[s] = height(c)
         # the general bound scales linearly in the height, so the
         # height-normalized column is just the bound evaluated at height 1
         closed, twisted, refined, over_a, over_a_exact = formulas.cond_columns(c)
@@ -158,7 +164,7 @@ def _cond_rows(config: SweepConfig):
             num_t = num_p if c.omega == 1 else cond(EmbeddingSpec(c, basis=Basis.TWISTED))
         # an inapplicable formula gives NaN, which _fmt prints as an empty cell
         yield [
-            n, c.omega, c.phi, c.rad, height(c),
+            n, c.omega, c.phi, c.rad, a,
             _fmt(closed), _fmt(twisted), _fmt(refined),
             _fmt(over_a, exact_int=over_a_exact),
             _fmt(num_p), _fmt(num_t),
@@ -279,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cond.add_argument("--omega", default="any",
                         help="restrict to a fixed number of distinct primes (1..6)")
     p_cond.add_argument("--numeric-cap", type=int, default=512,
-                        help="largest matrix dimension to invert numerically (0 disables)")
+                        help="fill the numeric columns where 0 < phi(n) <= this "
+                             "cap (0 leaves them empty)")
     p_cond.add_argument("--limit", type=int, default=_DEFAULT_SWEEP_LIMIT,
                         help="safety ceiling on --max; raise explicitly for big sweeps")
     p_cond.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")

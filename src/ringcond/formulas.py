@@ -168,7 +168,7 @@ def cond_bound_general(n, coeff_height=None) -> BoundReport:
     c = as_conductor(n)
     if c.n < 2:
         return _inapplicable(Kind.BOUND_GENERAL, "need n >= 2")
-    a = height(c.n) if coeff_height is None else operator.index(coeff_height)
+    a = height(c) if coeff_height is None else operator.index(coeff_height)
     if a < 1:
         raise ValueError(f"coefficient height must be >= 1, got {a}")
     e = (1 << c.omega) + c.omega + 2

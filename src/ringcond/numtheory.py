@@ -15,16 +15,14 @@ A(n) = A(s), and only the lower half of Phi_s is expanded.  The series is the
 Moebius product prod (1 - x^e)^mu, each factor one in-place pass over a
 single buffer that turns from int64 to Python ints where it could overflow.
 
-Besides that tuple, the module's only state is the memo `_radical_height`,
-keyed by the odd primes of n when there are three or more: a sweep meets each
-such kernel many times, and its series is the costliest step of a row.
+That tuple is the module's only state: every function is pure, and a caller
+that meets one kernel many times (a `cond` sweep) keeps its own memo.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, count
 
 import numpy as np
@@ -269,21 +267,13 @@ def cyclotomic_poly(n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _radical_height(primes: tuple) -> int:
-    """A(s) for s the product of three or more distinct odd `primes`."""
-    # Phi_s is palindromic, so the lower half carries every coefficient
-    # magnitude.
-    half = _radical_series(primes, math.prod(p - 1 for p in primes) // 2 + 1)
-    return int(np.abs(half).max())
-
-
 def height(n: int) -> int:
     """A(n): the maximum absolute coefficient of Phi_n.
 
     A(n) = A(s) for s the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n/rad n))
     only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
-    signs.  No series is expanded, and nothing memoized, when omega(s) <= 2.
+    signs.  No series is expanded when omega(s) <= 2; otherwise the lower
+    half of Phi_s is, on every call.
 
     Examples
     --------
@@ -291,7 +281,12 @@ def height(n: int) -> int:
     (23, 532)
     """
     c = as_conductor(n)
-    odd = tuple(p for p, _ in c.factors if p != 2)
+    odd = [p for p, _ in c.factors if p != 2]
     # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
     # cross-checked against the full series of Phi_n in the tests.
-    return _radical_height(odd) if len(odd) > 2 else 1
+    if len(odd) < 3:
+        return 1
+    # Phi_s is palindromic, so the lower half carries every coefficient
+    # magnitude.
+    half = _radical_series(odd, math.prod(p - 1 for p in odd) // 2 + 1)
+    return int(np.abs(half).max())

@@ -311,10 +311,10 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
 # one conditional subtraction (a remainder for Python ints).  The sign-only
 # Hadamard passes reduce lazily: the i-th of them in a row enters with
 # entries below B = 2^i q and leaves them below 2B, unreduced.  One
-# reduction (a fold after a single pass, else _mod) runs before the next
-# pass that multiplies and at the end of the transform.  In uint64 that
-# needs 2^r q < 2^64, asserted when the plan is built; Python ints need no
-# bound.  Products of two residues are reduced by _mod.
+# in-place _mod runs before the next pass that multiplies and at the end
+# of the transform.  In uint64 that needs 2^r q < 2^64, asserted when the
+# plan is built; Python ints need no bound.  Products of two residues are
+# reduced by _mod.
 # Counter increments are batched per transform but tally exactly one mul per
 # performed modular multiplication and one add per modular addition or
 # subtraction; reductions, lazy or not, were never counted.
@@ -538,7 +538,7 @@ def _passes(plan: _Plan, x: np.ndarray, ctx: RingContext) -> np.ndarray:
             a, tmp, lazy = tmp, a, lazy + 1
             continue
         if lazy:
-            a, tmp = _settle(a, tmp, lazy, q)
+            _mod(a, q)
             lazy = 0
         odd = a.reshape(st.shape)[st.odd]
         if st.twist_first:
@@ -549,23 +549,13 @@ def _passes(plan: _Plan, x: np.ndarray, ctx: RingContext) -> np.ndarray:
         if not st.twist_first:
             _scale(odd, st.factors, q)
     if lazy:
-        a, tmp = _settle(a, tmp, lazy, q)
+        _mod(a, q)
     ctx.counter.muls += plan.muls
     ctx.counter.adds += plan.adds
     if rot:
         _rotate(a, nbits - rot, nbits, tmp)
         a = tmp
     return a
-
-
-def _settle(a: np.ndarray, tmp: np.ndarray, lazy: int, q: int) -> tuple:
-    """Reduce a, its entries below 2^lazy q, mod q; returns (array,
-    scratch), the array holding the residues."""
-    if lazy == 1:
-        _fold(a, q, tmp)
-        return tmp, a
-    _mod(a, q)
-    return a, tmp
 
 
 def _require(a: PolyVec, domain: Domain):

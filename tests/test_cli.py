@@ -1,16 +1,20 @@
 """Command-line surface: sweep CSV shape and determinism, bench counts and
 ratios, verify suites, exit codes, and the precision flag."""
+import copy
 import csv
 import hashlib
+import importlib
 import io
 import math
 import os
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ringcond import _checks, cli, embeddings, formulas, numtheory, ringarith
+import ringcond
+from ringcond import _checks, cli, embeddings, formulas, linalg, ringarith
 from ringcond.embeddings import EmbeddingSpec, factored_cond
 from ringcond.numtheory import is_prime
 
@@ -212,14 +216,13 @@ def test_cond_exact_columns_pinned_where_heights_are_large(tmp_path, window):
 
 
 def test_cond_sweep_retains_little_memory(tmp_path):
-    # a cap-0 sweep keeps only the height memo, one small entry per odd
-    # squarefree kernel of three or more primes; a cache of factorizations or
-    # of series arrays retains about 0.9 KB a row and passes 4 MB over these
-    # 20,000 rows
+    # a cap-0 sweep keeps nothing once it returns: its height memo goes
+    # with the generator; a cache of factorizations or of series arrays
+    # that outlived the call would retain about 0.9 KB a row and pass 4 MB
+    # over these 20,000 rows
     out = str(tmp_path / "cond.csv")
     # warm up first: any lazy import is done once per process
     assert cli.main(["cond", "--min", "2", "--max", "30", "--out", out]) == 0
-    numtheory._radical_height.cache_clear()
     tracemalloc.start()
     try:
         assert cli.main(["cond", "--min", "2", "--max", "20000", "--numeric-cap", "0",
@@ -259,6 +262,17 @@ def test_bench_counts_and_ratios(tmp_path):
     assert float(row["asymptotic_ratio"]) == pytest.approx(5 / 2, rel=1e-12)
     assert float(row["ntt_swap_ms"]) > 0
     assert float(row["hybrid_swap_ms"]) > 0
+
+
+def test_bench_without_a_suitable_prime_exits_2(capsys):
+    # m_total = 2^60: the search for q = 1 mod 2^61 starts at 2^62 + 1,
+    # already past its 2^62 bound
+    rc = cli.main(["bench", "--mcyclo", str(1 << 30), "--r", "30", "--qbits", "62",
+                   "--out", "-"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "no suitable prime below 2^62" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_equal_cost_configuration(tmp_path):
@@ -334,6 +348,32 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_ringcond_keeps_no_process_state(tmp_path, capsys):
+    # every memo lives and dies with its call: no module holds a functools
+    # cache, and a run of each subcommand leaves every module-level dict,
+    # list and set as it was
+    modules = [importlib.import_module(f"ringcond.{info.name}")
+               for info in pkgutil.iter_modules(ringcond.__path__)]
+    caches = [(mod.__name__, name) for mod in modules
+              for name, obj in vars(mod).items() if hasattr(obj, "cache_clear")]
+    assert caches == []
+
+    def containers():
+        return {(mod.__name__, name): copy.deepcopy(obj) for mod in modules
+                for name, obj in vars(mod).items()
+                if not name.startswith("__") and isinstance(obj, (dict, list, set))}
+
+    before = containers()
+    out = str(tmp_path / "out.csv")
+    for precision in linalg.PRECISIONS:
+        assert cli.main(["--precision", precision, "cond", "--min", "2", "--max", "1200",
+                         "--out", out]) == 0
+    assert cli.main(["bench", "--mcyclo", "8", "--r", "3", "--trials", "1",
+                     "--out", out]) == 0
+    assert cli.main(["verify"]) == 0
+    assert containers() == before
+
+
 def test_report_check_detects_a_self_consistent_wrong_formula(monkeypatch):
     # doubling the radicand keeps value == float(symbolic), so only a
     # comparison with the formula itself can notice
@@ -397,6 +437,7 @@ def test_roundtrip_check_detects_corrupted_diagonal():
         ["nonsense"],
         [],
         ["--precision", "quad", "cond", "--min", "2", "--max", "3", "--out", "-"],
+        ["bench", "--mcyclo", "4", "--r", "1", "--qbits", "7", "--out", "-"],
     ],
 )
 def test_usage_errors_exit_2(argv):

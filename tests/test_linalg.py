@@ -284,6 +284,29 @@ def test_invert_extended_falls_back_when_seed_cannot_refine(monkeypatch):
     assert float(linalg.frobenius(r)) <= 1e-1 * float(linalg.frobenius(x))
 
 
+@pytest.mark.parametrize("n,fallback", [(11, False), (13, True)])
+def test_invert_extended_falls_back_when_newton_cannot_contract(monkeypatch, n, fallback):
+    # the Hilbert matrix 1/(i + j + 1) in clongdouble: at order 13 LAPACK's
+    # double seed leaves ||I - AX||_F above 0.25 sqrt(n), so the refinement
+    # hands over to the in-dtype LU; at order 11 it stays on the Newton path
+    calls = []
+    orig = linalg._plain_lu_invert
+
+    def spy(a):
+        calls.append(a.shape)
+        return orig(a)
+
+    monkeypatch.setattr(linalg, "_plain_lu_invert", spy)
+    i = np.arange(n)
+    a = (np.longdouble(1) / (i[:, None] + i[None, :] + 1)).astype(np.clongdouble)
+    x = linalg.invert(a)
+    assert calls == ([(n, n)] if fallback else [])
+    mp_a, mp_x = _mp_matrix(a), _mp_matrix(x)
+    r = mpmath.eye(n) - mp_a * mp_x
+    eps = float(np.finfo(np.longdouble).eps)
+    assert _mp_norm(r) <= eps * _mp_norm(mp_a) * _mp_norm(mp_x)
+
+
 def test_plain_lu_matches_lapack():
     a = _rand_complex(16, 31)
     assert np.allclose(linalg._plain_lu_invert(a), np.linalg.inv(a), atol=1e-11)

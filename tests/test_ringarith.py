@@ -94,6 +94,8 @@ def test_make_context_validation():
         ra.make_context(17, 1, (2, 2))  # repeated d
     with pytest.raises(ValueError):
         ra.make_context(17, 1, (4,))  # not squarefree
+    with pytest.raises(ValueError, match="d_i must be positive"):
+        ra.make_context(12289, 4, (0,))
     import sympy
 
     with pytest.raises(ValueError, match="62 bits"):  # prime, but too large for the exact engine
@@ -346,6 +348,13 @@ def test_pointwise_rejects_mixed_contexts():
     b = ra.ntt_forward(ctx_cyclo(113, 8).poly([1] * 8))
     with pytest.raises(ValueError):
         ra.pointwise_mul(a, b)
+
+
+def test_schoolbook_rejects_mixed_contexts():
+    a = ctx_cyclo(97, 8).poly([1] * 8)
+    b = ctx_cyclo(113, 8).poly([1] * 8)
+    with pytest.raises(ValueError, match="different contexts"):
+        ra.schoolbook_mul(a, b)
 
 
 def test_schoolbook_identities():
