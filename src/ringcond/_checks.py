@@ -16,7 +16,7 @@ import numpy as np
 
 from . import embeddings, formulas, linalg, ringarith
 from .embeddings import Basis, EmbeddingSpec
-from .numtheory import cyclotomic_poly, factorize, first_primes, height
+from .numtheory import cyclotomic_poly, factorize, first_primes, height, is_prime
 
 
 def _phi_derivative_at(n: int, points: np.ndarray) -> np.ndarray:
@@ -97,6 +97,19 @@ def check_factored_cond(n_max: int = 100, phi_cap: int = 64,
                 if rel > 1e-12:
                     out.append(f"factored {spec.basis.value} n={n} q={spec.quad_primes} "
                                f"at {prec}: {fac!r} vs dense {dense!r} (rel {rel:.2e})")
+    return out
+
+
+def check_prime_kernel_norms(p_max: int = 4100) -> List[str]:
+    """The general Parseval sum on each odd prime kernel p < p_max vs
+    (p - 1)/p, bit for bit at both precisions: the value FactoredCond takes
+    for a prime kernel without summing, N(p) = 2p ||W_p||^2 = 2(p - 1)."""
+    out = []
+    for prec, real in linalg.PRECISIONS.items():
+        for p in filter(is_prime, range(3, p_max, 2)):
+            got = embeddings._half_inverse_norm2(factorize(p), real)
+            if got != real(p - 1) / real(p):
+                out.append(f"prime kernel p={p} at {prec}: {got!r} vs (p - 1)/p")
     return out
 
 
@@ -391,6 +404,8 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("twisted form vs numeric (n<=200)", check_twisted_forms),
     ("bound dominance (n<=200)", check_bound_dominance),
     ("factored vs dense condition numbers (n<=100)", check_factored_cond),
+    ("prime-kernel Parseval sum vs (p - 1)/p, bitwise (p < 4100, both precisions)",
+     check_prime_kernel_norms),
     ("transform round-trips (m<=64, split layouts at m=4096, 2048, 128)",
      check_transform_roundtrips),
     ("transform homomorphism (m<=64, split layouts at m=4096, 2048, 128)",

@@ -21,9 +21,10 @@ formulas.cond_columns, which evaluates them from the conductor's exact
 integers, bitwise equal to the BoundReport functions that remain the
 library API and its oracle.  Per call it keeps a dict of heights and one
 embeddings.FactoredCond, both by odd kernel, so each kernel's height series
-and Parseval norm run once, inverting nothing; both are dropped when the
-sweep ends.  All columns except the bench timing medians and their wall_ratio
-are byte-deterministic for a fixed configuration.
+runs once and its norm is found once, inverting nothing: a composite
+kernel's by the Parseval sum, a prime p's as (p - 1)/p exactly.  Both are
+dropped when the sweep ends.  All columns except the bench timing medians
+and their wall_ratio are byte-deterministic for a fixed configuration.
 
 The argument parser is built once, at import; main only parses with it and
 reports errors through it, so in-process callers do not rebuild it.

@@ -33,12 +33,18 @@ g = gcd(k, s): the factors of Phi_s = prod_{d | s} (x^d - 1)^mu(s/d) that
 vanish at zeta^k cancel to exp Lambda(g), which is g for a prime g and 1
 otherwise.  Every term is positive, so nothing cancels, and each is one
 gather from one table of c over r mod s: O((s - phi(s)) phi(s)/2) work with
-no loop over phi.  A prime s has only w = 1 outside the primitive roots.
+no loop over phi.  A prime s = p has only w = 1 outside the primitive roots,
+where |L_j(1)| = B_0 / (c(k_j) A_j) = p / (c(k_j) p / c(k_j)) = 1, so
+||L_j||^2 = 2/p and ||W_p||_F^2 = (p - 1)/p exactly.  `FactoredCond` takes
+that quotient for every prime kernel, every twisted factor among them, and
+sums only composite kernels; the tests and `verify` hold the general sum to
+the quotient bit for bit.
 `cyclotomic_vandermonde_inverse`, the one explicit inverse in the package,
 divides the exact integer Phi_n synthetically by (x - zeta) for every root
 at once, over the closed-form derivatives Phi_n'(zeta); the tests hold the
 Parseval norm to it.  The numeric columns of `ringcond cond` come from one
-`FactoredCond` per sweep, which computes ||W||_F once per kernel s.
+`FactoredCond` per sweep, which computes ||W||_F once per kernel s and sums
+only the composite ones.
 
 Every Vandermonde is built here from a validated conductor, so its roots are
 distinct by construction (at least 2 sin(pi/n) apart), and is refused before
@@ -237,7 +243,10 @@ def cyclotomic_vandermonde_inverse(n, *, real=np.float64) -> np.ndarray:
 
 def _half_inverse_norm2(k: Conductor, real):
     # ||W||_F^2 over the columns of V_s^-1 at the roots k_j < s/2, s = k.n odd
-    # squarefree > 1, by Parseval over the s-th roots (module docstring)
+    # squarefree > 1, by Parseval over the s-th roots (module docstring).
+    # FactoredCond runs it only on composite kernels: on a prime p it returns
+    # exactly (p - 1)/p, the value the evaluator takes instead, and stays
+    # callable there as that identity's oracle
     s = k.n
     primes = [p for p, _ in k.factors]
     divisors = [(math.prod(sub), (-1) ** w)
@@ -259,7 +268,10 @@ def _half_inverse_norm2(k: Conductor, real):
     # B_k = |Phi_s(zeta^k)| = exp Lambda(g) prod_{d | s, kd != 0 mod s}
     # c(kd)^mu(s/d), with mu(s/d) = mu(s) mu(d)
     mu_s = (-1) ** len(primes)
-    b = np.where(np.isin(g, primes), g, 1).astype(real)
+    # exp Lambda(g) by lookup, over every g | s including g = gcd(0, s) = s
+    lam = np.ones(s + 1, dtype=real)
+    lam[primes] = primes
+    b = lam[g]
     for d, mu in divisors:
         f = chord[outer * d % s]
         b = b * f if mu * mu_s > 0 else b / f
@@ -337,8 +349,10 @@ class FactoredCond:
     `FactoredCond(real=real)(spec)` is bitwise `factored_cond(spec,
     real=real)`.  The evaluator keeps a dict from each odd squarefree kernel
     s to ||W_s||_F, the norm before any scaling, so the specs it is applied
-    to sum each kernel's Parseval identity once.  The dict lives and dies
-    with the evaluator.
+    to sum each kernel's Parseval identity once.  A prime kernel p takes
+    ||W_p||_F^2 = (p - 1)/p and sums nothing, so a power of p or 2p and
+    every twisted prime-power factor cost O(1); only a composite kernel runs
+    the sum.  The dict lives and dies with the evaluator.
     """
 
     def __init__(self, *, real=np.float64):
@@ -362,8 +376,14 @@ class FactoredCond:
             return real(c.n // c.rad)
         norm = self._norms.get(s)
         if norm is None:
-            k = Conductor([(p, 1) for p, _ in c.factors if p != 2])
-            norm = self._norms[s] = np.sqrt(_half_inverse_norm2(k, real))
+            odd = [(p, 1) for p, _ in c.factors if p != 2]
+            # a prime kernel has ||W_p||^2 = (p - 1)/p exactly (module
+            # docstring); only a composite one runs the Parseval sum
+            if len(odd) == 1:
+                norm2 = real(s - 1) / real(s)
+            else:
+                norm2 = _half_inverse_norm2(Conductor(odd), real)
+            norm = self._norms[s] = np.sqrt(norm2)
         return real(c.n // c.rad * c.phi_rad) * np.sqrt(real(2)) * norm
 
 
@@ -371,15 +391,16 @@ def factored_cond(spec: EmbeddingSpec, *, real=np.float64):
     """Numeric Frobenius condition number of the spec's matrix, by factors.
 
     Equals `numeric_cond(spec)` up to rounding, in O((s - phi(s)) phi(s))
-    time and bounded scratch memory for the largest odd squarefree kernel s,
-    and inverts no matrix: the product of kappa_F over the Kronecker factors
-    of `embedding_matrix`.  A cyclotomic factor V_n gives (n / rad n)
-    kappa_F(V_s) with s the odd part of rad n (Phi_n(x) = Phi_rad n(x^(n /
-    rad n)), Phi_2s(x) = Phi_s(-x)), and kappa_F(V_s) = phi(s) sqrt(2)
-    ||W||_F from the half W of the columns of V_s^-1 whose roots lie in the
-    upper half-plane, its norm summed by Parseval's identity (module
-    docstring; kappa_F(V_1) = 1); so a twisted prime-power factor p^e costs
-    kappa_F(V_p), and n = 2^e no sum.  A quadratic block B gives
+    time and bounded scratch memory for the largest composite odd squarefree
+    kernel s, and inverts no matrix: the product of kappa_F over the
+    Kronecker factors of `embedding_matrix`.  A cyclotomic factor V_n gives
+    (n / rad n) kappa_F(V_s) with s the odd part of rad n (Phi_n(x) =
+    Phi_rad n(x^(n / rad n)), Phi_2s(x) = Phi_s(-x)), and kappa_F(V_s) =
+    phi(s) sqrt(2) ||W||_F from the half W of the columns of V_s^-1 whose
+    roots lie in the upper half-plane, its norm summed by Parseval's
+    identity (module docstring; kappa_F(V_1) = 1).  A prime kernel p needs no sum:
+    ||W_p||_F^2 = (p - 1)/p exactly, so a twisted prime-power factor p^e
+    costs O(1), as n = 2^e does.  A quadratic block B gives
     ||B||_F^2 / |det B|, exact since B^-1 = adj B / det B and ||adj B||_F =
     ||B||_F.  A Vandermonde factor with phi(n) above MAX_DIMENSION is
     refused, whatever its kernel, as `embedding_matrix` refuses the whole

@@ -404,6 +404,19 @@ def test_cond_columns_check_detects_a_last_bit_change(monkeypatch):
     assert len(failures) == 1 and "ExactTwisted column at n=105" in failures[0]
 
 
+def test_prime_kernel_check_detects_a_last_bit_change(monkeypatch):
+    # one ulp off the sum at p = 101, at extended precision only
+    def nudged(k, real):
+        got = parseval(k, real)
+        return np.nextafter(got, real(2)) if k.n == 101 and real is np.longdouble else got
+
+    parseval = embeddings._half_inverse_norm2
+    assert _checks.check_prime_kernel_norms(200) == []
+    monkeypatch.setattr(embeddings, "_half_inverse_norm2", nudged)
+    failures = _checks.check_prime_kernel_norms(200)
+    assert len(failures) == 1 and "p=101 at extended" in failures[0]
+
+
 def test_roundtrip_check_detects_corrupted_tables():
     ctx = ringarith.make_context(12289, 8)
     ctx._fwd[3] = ctx._fwd[3] * 2 % ctx.q  # sabotage one twiddle factor

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy
 
-from ringcond import embeddings, linalg
+from ringcond import cli, embeddings, linalg
 from ringcond.embeddings import (
     Basis,
     EmbeddingSpec,
@@ -511,11 +511,50 @@ def test_parseval_norm_matches_lagrange_inverse(precision, tol):
 
 @pytest.mark.parametrize("real", [np.float64, np.longdouble])
 def test_parseval_norm_of_a_prime_kernel(real):
-    # each column of V_p^-1 has squared norm 2/p, so ||W_p||^2 = (p - 1)/p
+    # each column of V_p^-1 has squared norm 2/p, so ||W_p||^2 = (p - 1)/p;
+    # the general sum gives that quotient to the last bit, which is what lets
+    # FactoredCond take it for every prime kernel without summing
     for p in filter(is_prime, range(3, 4100, 2)):
         got = embeddings._half_inverse_norm2(factorize(p), real)
-        want = real(p - 1) / real(p)
-        assert abs(got - want) <= 4 * np.spacing(want), p
+        assert got == real(p - 1) / real(p) and type(got) is real, p
+
+
+@pytest.mark.parametrize("precision", sorted(linalg.PRECISIONS))
+def test_factored_cond_sums_no_prime_kernel(precision, tmp_path, monkeypatch):
+    # only a composite odd kernel runs the Parseval sum: every twisted factor
+    # and every power of p or 2p takes (p - 1)/p, bitwise what the sum gives
+    real = linalg.PRECISIONS[precision]
+    parseval = embeddings._half_inverse_norm2
+    summed = []
+
+    def spy(k, real):
+        summed.append(k.n)
+        return parseval(k, real)
+
+    specs = [EmbeddingSpec(1155, basis=Basis.TWISTED),
+             EmbeddingSpec(2 * 3**2 * 5 * 7, basis=Basis.TWISTED),
+             EmbeddingSpec(105, (2, 11), Basis.TWISTED)]
+    powers = [(n, p) for p in (3, 5, 7, 17, 257, 2053) for n in (p, p**2, 2 * p, 4 * p**2)
+              if factorize(n).phi <= embeddings.MAX_DIMENSION]
+    specs += [EmbeddingSpec(n) for n, _ in powers]
+    fresh = [factored_cond(spec, real=real) for spec in specs]
+    monkeypatch.setattr(embeddings, "_half_inverse_norm2", spy)
+    cond = embeddings.FactoredCond(real=real)
+    for spec, want in zip(specs, fresh):
+        got = cond(spec)
+        assert got == want and type(got) is type(want), spec
+    assert summed == []
+    for n, p in powers:
+        # the value the general sum gives for the kernel p
+        norm = np.sqrt(parseval(factorize(p), real))
+        want = real(n // factorize(n).rad * (p - 1)) * np.sqrt(real(2)) * norm
+        assert cond(EmbeddingSpec(n)) == want, n
+    # cond 2..2000 sums the 161 composite kernels of its 257, and no prime
+    out = tmp_path / "cond.csv"
+    assert cli.main(["--precision", precision, "cond", "--min", "2", "--max", "2000",
+                     "--out", str(out)]) == 0
+    assert len(summed) == len(set(summed)) == 161
+    assert all(not is_prime(s) for s in summed)
 
 
 @pytest.mark.parametrize("precision,tol", [("double", 2e-15), ("extended", 1e-18)])
