@@ -161,8 +161,7 @@ def _cond_rows(config: SweepConfig):
         num_p = num_t = None
         if 0 < c.phi <= config.numeric_cap:
             num_p = cond(EmbeddingSpec(c))
-            # for a prime power the twisted matrix is the power matrix
-            num_t = num_p if c.omega == 1 else cond(EmbeddingSpec(c, basis=Basis.TWISTED))
+            num_t = cond(EmbeddingSpec(c, basis=Basis.TWISTED))
         # an inapplicable formula gives NaN, which _fmt prints as an empty cell
         yield [
             n, c.omega, c.phi, c.rad, a,

@@ -72,7 +72,7 @@ import numpy as np
 from . import linalg
 from .numtheory import Conductor, as_conductor, check_quad_primes, cyclotomic_poly, is_prime
 
-# pi to more digits than any supported significand; np.pi is only a double
+# pi to more digits than any supported significand; np.float64 of it is np.pi
 _PI_STR = "3.14159265358979323846264338327950288419716939937510582097494459"
 
 # the largest matrix or Vandermonde factor any evaluator materializes
@@ -131,9 +131,7 @@ def _check_real(real):
 
 def _two_pi(real=np.float64):
     _check_real(real)
-    if real is np.longdouble:
-        return np.longdouble(2) * np.longdouble(_PI_STR)
-    return 2.0 * np.pi
+    return real(2) * real(_PI_STR)
 
 
 def _roots_table(n: int, real) -> np.ndarray:
@@ -158,7 +156,7 @@ def _units(c: Conductor) -> np.ndarray:
 
 def _chord(r, s: int, real) -> np.ndarray:
     # 2 |sin(pi r/s)| for integers 0 <= r <= s, its sine taken at the angle
-    # folded into [0, pi/2]
+    # folded into [0, pi/2], so c(s - r) is c(r) to the last bit
     pi = _two_pi(real) / real(2)
     return 2 * np.sin(pi * np.minimum(r, s - r).astype(real) / real(s))
 
@@ -280,7 +278,9 @@ def _half_inverse_norm2(k: Conductor, real):
     rows = max(1, _NORM_BLOCK // outer.size)
     total = real(0)
     for i in range(0, half.size, rows):
-        block = inv2[np.abs(np.subtract.outer(half[i:i + rows], outer))]
+        # k_j - k lies in (-s, s/2), and numpy reads index -r as s - r: the
+        # same float, since _chord takes its sine at min(r, s - r)
+        block = inv2[np.subtract.outer(half[i:i + rows], outer)]
         a = amp[i:i + rows]
         total += (1 + (block @ b2) / (a * a)).sum()
     return total / real(s)

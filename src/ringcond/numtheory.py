@@ -259,11 +259,8 @@ def cyclotomic_poly(n: int) -> np.ndarray:
     if c.n == 1:
         return np.array([-1, 1], dtype=np.int64)
     rad_coeffs = _radical_series([p for p, _ in c.factors], c.phi_rad + 1)
-    stride = c.n // c.rad
-    if stride == 1:
-        return rad_coeffs
     out = np.zeros(c.phi + 1, dtype=rad_coeffs.dtype)
-    out[::stride] = rad_coeffs
+    out[::c.n // c.rad] = rad_coeffs
     return out
 
 

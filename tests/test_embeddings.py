@@ -5,6 +5,7 @@ The factored condition numbers are checked against the dense reference and
 against an oracle that shares no code with ringcond: sympy's cyclotomic
 coefficients, mpmath roots and fixed-point integer arithmetic."""
 import functools
+import itertools
 import math
 import threading
 import tracemalloc
@@ -129,6 +130,19 @@ def test_twisted_equals_power_for_prime_powers():
             embedding_matrix(EmbeddingSpec(n, basis=Basis.TWISTED)),
             cyclotomic_vandermonde(n), atol=1e-14
         )
+    # a prime power's one twisted factor is the conductor itself, so the
+    # twisted condition number is the power one to the last bit; cond relies
+    # on that for its numeric_twisted column
+    cap = embeddings.MAX_DIMENSION
+    powers = [q for p in filter(is_prime, range(2, cap + 2))
+              for q in itertools.takewhile(lambda q: factorize(q).phi <= cap,
+                                           (p**e for e in itertools.count(1)))]
+    assert len(powers) == 605
+    for real in (np.float64, np.longdouble):
+        cond = embeddings.FactoredCond(real=real)
+        for n in powers:
+            power, twisted = cond(EmbeddingSpec(n)), cond(EmbeddingSpec(n, basis=Basis.TWISTED))
+            assert twisted == power and type(twisted) is type(power) is real, n
 
 
 @pytest.mark.parametrize(
@@ -507,6 +521,17 @@ def test_parseval_norm_matches_lagrange_inverse(precision, tol):
         want = _half_lagrange_norm(k.n, real)
         assert type(got) is real
         assert abs(got - want) <= tol * want, (k.n, float(abs(got - want) / want))
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+def test_chord_table_is_symmetric(real):
+    # the Parseval gather reads the chord table at the signed offset k_j - k,
+    # so entry -r (numpy's s - r) must be entry r to the last bit; s covers
+    # omega = 1 to 5
+    for s in (3, 15, 105, 1155, 8715, 15015):
+        c = embeddings._chord(np.arange(s), s, real)
+        assert c.dtype == real
+        assert np.array_equal(c[1:], c[:0:-1]), s
 
 
 @pytest.mark.parametrize("real", [np.float64, np.longdouble])
