@@ -19,12 +19,14 @@ rendered from their exact integer form, so the sweep stays meaningful where
 the general bound reaches 10^350.  cond takes its formula columns from
 formulas.cond_columns, which evaluates them from the conductor's exact
 integers, bitwise equal to the BoundReport functions that remain the
-library API and its oracle.  Per call it keeps a dict of heights and one
-embeddings.FactoredCond, both by odd kernel, so each kernel's height series
-runs once and its norm is found once, inverting nothing: a composite
-kernel's by the Parseval sum, a prime p's as (p - 1)/p exactly.  Both are
-dropped when the sweep ends.  All columns except the bench timing medians
-and their wall_ratio are byte-deterministic for a fixed configuration.
+library API and its oracle.  Per call it keeps a dict of heights, keyed by
+numtheory.height_kernel (the odd kernel, or a ternary kernel's Kaplan
+representative), so each class's height series runs once, and one
+embeddings.FactoredCond by odd kernel, so each kernel's norm is found once,
+inverting nothing: a composite kernel's by the Parseval sum, a prime p's as
+(p - 1)/p exactly.  Both are dropped when the sweep ends.  All columns
+except the bench timing medians and their wall_ratio are byte-deterministic
+for a fixed configuration.
 
 The argument parser is built once, at import; main only parses with it and
 reports errors through it, so in-process callers do not rebuild it.
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import _checks, embeddings, formulas, linalg, ringarith
 from .embeddings import Basis, EmbeddingSpec
-from .numtheory import factorize, first_primes, height, is_prime
+from .numtheory import factorize, first_primes, height, height_kernel, is_prime
 
 _DEFAULT_SWEEP_LIMIT = 100_000
 _TWELVE = DecimalContext(prec=12)
@@ -142,19 +144,21 @@ COND_HEADER = ["n", "omega", "phi", "rad", "A_n", "exact_closed", "exact_twisted
 
 
 def _cond_rows(config: SweepConfig):
-    # one evaluator and one height memo per sweep, both keyed by the odd
-    # squarefree kernel s of n (A(n) = A(s)): each kernel's norm is summed
-    # and its height series run once, and both are dropped with the generator
+    # one evaluator and one height memo per sweep: the evaluator keyed by
+    # the odd squarefree kernel s of n, the memo by s's height_kernel (a
+    # ternary kernel's Kaplan representative, else s), so each kernel's norm
+    # is summed and each class's height series run once; both are dropped
+    # with the generator
     cond = embeddings.FactoredCond(real=linalg.PRECISIONS[config.precision])
     heights = {}
     for n in range(max(config.n_min, 2), config.n_max + 1):
         c = factorize(n)
         if config.omega_filter is not None and c.omega != config.omega_filter:
             continue
-        s = c.rad if n % 2 else c.rad // 2
-        a = heights.get(s)
+        k = height_kernel(c)
+        a = heights.get(k)
         if a is None:
-            a = heights[s] = height(c)
+            a = heights[k] = height(c)
         # the general bound scales linearly in the height, so the
         # height-normalized column is just the bound evaluated at height 1
         closed, twisted, refined, over_a, over_a_exact = formulas.cond_columns(c)

@@ -11,15 +11,21 @@ Cyclotomic polynomials are computed over the squarefree radical first and then
 lifted by exponent substitution, so the expensive exact arithmetic never runs
 at a degree larger than phi(rad(n)).  Heights go one step further, to the odd
 squarefree kernel s of n (the odd part of rad n), since Phi_2s(x) = Phi_s(-x):
-A(n) = A(s), and only the lower half of Phi_s is expanded.  The series is the
-Moebius product prod (1 - x^e)^mu, each factor one in-place pass over a
-single buffer that turns from int64 to Python ints where it could overflow.
+A(n) = A(s).  A ternary kernel pqr goes on to its representative pqr', r' the
+least prime above q with r' = +-r (mod pq), since A(pqr') = A(pqr) (Kaplan's
+periodicity, J. Number Theory 127, 2007), and only the lower half of the
+representative's Phi is expanded.  The series is the Moebius product
+prod (1 - x^e)^mu, each factor one in-place pass over a single buffer that
+turns from int64 to Python ints where it could overflow.
 
-That tuple is the module's only state: every function is pure, and a caller
-that meets one kernel many times (a `cond` sweep) keeps its own memo.
+`is_prime` is Miller-Rabin on as few of the prime bases 2..41 as decide n.
+
+Constant tuples are the module's only state: every function is pure, and a
+caller that meets one class many times (a `cond` sweep) keeps its own memo.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -122,19 +128,29 @@ def as_conductor(n) -> Conductor:
     return factorize(n)
 
 
+# psi_k, the least strong pseudoprime to each of the first k prime bases, for
+# k = 1..13 (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015): the
+# first k bases decide every n < psi_k.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the 13 prime bases 2..41, for n below
-    3317044064679887385961981, the least strong pseudoprime to all of them
-    (psi_13, Sorenson and Webster 2015); ValueError from psi_13 on."""
+    """Deterministic Miller-Rabin on the first k of the 13 prime bases 2..41,
+    k the least with n < psi_k, for n below 3317044064679887385961981 =
+    psi_13; ValueError from psi_13 on."""
     n = operator.index(n)
-    if n >= 3317044064679887385961981:
-        raise ValueError(f"is_prime decides only n < 3317044064679887385961981, got {n}")
+    if n >= _PSI[-1]:
+        raise ValueError(f"is_prime decides only n < {_PSI[-1]}, got {n}")
     if n < 2:
         return False
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    for p in bases:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    bases = _MR_BASES[:bisect.bisect_right(_PSI, n) + 1]
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -264,21 +280,53 @@ def cyclotomic_poly(n: int) -> np.ndarray:
     return out
 
 
+def _height_primes(c: Conductor) -> list:
+    # the odd primes of c, the largest swapped for r' when there are three
+    odd = [p for p, _ in c.factors if p != 2]
+    if len(odd) == 3:
+        p, q, r = odd
+        m = p * q
+        lo, hi = sorted((r % m, -r % m))
+        odd[2] = next(x for base in count(0, m) for x in (base + lo, base + hi)
+                      if x > q and (x == r or is_prime(x)))
+    return odd
+
+
+def height_kernel(n) -> int:
+    """The integer whose series gives A(n): the odd squarefree kernel s of
+    n, with its largest prime r swapped for r' when s = pqr, p < q < r.
+
+    r' is the least prime above q with r' = +-r (mod pq); A(pqr') = A(pqr)
+    by Kaplan's periodicity, which needs r' > q: 5*13*7 has height 2, but
+    5*13*137 height 3.  r itself qualifies, so r' <= r, and a kernel is its
+    own representative's representative.
+
+    Examples
+    --------
+    >>> height_kernel(2 * 5 * 7 * 59), height_kernel(5 * 7 * 11)
+    (385, 385)
+    """
+    return math.prod(_height_primes(as_conductor(n)))
+
+
 def height(n: int) -> int:
     """A(n): the maximum absolute coefficient of Phi_n.
 
     A(n) = A(s) for s the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n/rad n))
     only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
-    signs.  No series is expanded when omega(s) <= 2; otherwise the lower
-    half of Phi_s is, on every call.
+    signs; a ternary s shares its height with its `height_kernel`.  No series
+    is expanded when omega(s) <= 2; otherwise the lower half of the
+    representative's Phi is, on each call: a caller that meets one class many
+    times keys its memo by `height_kernel`.
 
     Examples
     --------
     >>> height(15015), height(255255)
     (23, 532)
+    >>> height(5 * 7 * 11), height(5 * 7 * 59)
+    (3, 3)
     """
-    c = as_conductor(n)
-    odd = [p for p, _ in c.factors if p != 2]
+    odd = _height_primes(as_conductor(n))
     # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
     # cross-checked against the full series of Phi_n in the tests.
     if len(odd) < 3:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ringcond
-from ringcond import _checks, cli, embeddings, formulas, linalg, ringarith
+from ringcond import _checks, cli, embeddings, formulas, linalg, numtheory, ringarith
 from ringcond.embeddings import EmbeddingSpec, factored_cond
 from ringcond.numtheory import is_prime
 
@@ -213,6 +213,32 @@ def test_cond_exact_columns_pinned_where_heights_are_large(tmp_path, window):
     assert len(rows) == hi - lo + 2
     text = "".join(",".join(row[:9]) + "\n" for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == _COND_EXACT_DIGESTS[window]
+
+
+def test_cond_runs_one_height_series_per_kaplan_class(tmp_path, monkeypatch):
+    # 435..915 has 50 rows whose odd kernel has three or more primes, on 38
+    # kernels and 23 representatives: the memo calls height once for each
+    # representative, and every 3*5*r there with r = +-1 (mod 15) shares 3*5*29
+    called = []
+
+    def spy(c):
+        if sum(p != 2 for p, _ in c.factors) >= 3:
+            called.append(numtheory.height_kernel(c))
+        return real_height(c)
+
+    real_height = cli.height
+    monkeypatch.setattr(cli, "height", spy)
+    rows = run_cond(tmp_path, "--min", "435", "--max", "915", "--numeric-cap", "0")
+    assert len(called) == len(set(called)) == 23
+    odd = [rad if rad % 2 else rad // 2 for rad in (int(row["rad"]) for row in rows)]
+    odd = [s for s in odd if numtheory.factorize(s).omega >= 3]
+    assert (len(odd), len(set(odd))) == (50, 38)
+    ones = sorted(s for s in set(odd) if s % 15 == 0 and numtheory.factorize(s).omega == 3
+                  and s // 15 % 15 in (1, 14))
+    assert ones == [435, 465, 885, 915]
+    assert {numtheory.height_kernel(s) for s in ones} == {435}
+    for row in rows:
+        assert int(row["A_n"]) == numtheory.height(int(row["n"]))
 
 
 def test_cond_sweep_retains_little_memory(tmp_path):
@@ -415,6 +441,23 @@ def test_prime_kernel_check_detects_a_last_bit_change(monkeypatch):
     monkeypatch.setattr(embeddings, "_half_inverse_norm2", nudged)
     failures = _checks.check_prime_kernel_norms(200)
     assert len(failures) == 1 and "p=101 at extended" in failures[0]
+
+
+def test_kaplan_check_detects_a_representative_below_q(monkeypatch):
+    # the least prime of r's class with no lower bound: 3*5*13 goes to
+    # 3*5*2, 3*5*17 to 3*5*2, 5*7*37 to 5*7*2, all of height 1, not 2
+    def below_q(c):
+        p, q, r = (p for p, _ in c.factors)
+        m = p * q
+        return [p, q, min(x for x in range(2, r + 1)
+                          if x % m in (r % m, -r % m) and is_prime(x))]
+
+    assert _checks.check_kaplan_representatives(1300) == []
+    monkeypatch.setattr(numtheory, "_height_primes", below_q)
+    failures = _checks.check_kaplan_representatives(1300)
+    assert failures[:2] == ["A(195) = 1 from its representative, 2 from its own series",
+                            "A(255) = 1 from its representative, 2 from its own series"]
+    assert len(failures) == 7
 
 
 def test_roundtrip_check_detects_corrupted_tables():

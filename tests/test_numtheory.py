@@ -4,6 +4,8 @@ sympy is the oracle wherever a value is derivable; the classical identities
 (degree, palindromy, values at 0 and 1, height invariance under the radical)
 are asserted as properties.
 """
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -109,6 +111,26 @@ def test_is_prime_matches_sympy_small():
 )
 def test_is_prime_hard_cases(n, expected):
     assert nt.is_prime(n) == expected
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_takes_one_more_base_from_psi_k(k):
+    # psi_k is composite and passes the first k bases, so from psi_k on
+    # is_prime must try base k + 1; either side of it sympy agrees
+    psi = nt._PSI[k - 1]
+    assert not sympy.isprime(psi)
+    assert all(_strong_probable_prime(psi, a) for a in nt._MR_BASES[:k])
+    assert not nt.is_prime(psi)
+    for n in range(psi - 200, psi + 200):
+        assert nt.is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_refuses_from_psi_13_on():
@@ -231,6 +253,58 @@ def test_height_matches_sympy_where_a_series_runs():
             assert nt.height(m) == max(abs(int(v)) for v in _sympy_cyclotomic(m)), m
         checked += 1
     assert checked == 413
+
+
+def _ternary_kernels(s_max):
+    # the odd squarefree s = pqr <= s_max
+    return [s for s in range(105, s_max + 1, 2)
+            if (c := nt.factorize(s)).omega == 3 and c.rad == s]
+
+
+def _direct_height(primes):
+    # the largest |coefficient| of the lower half of Phi_s's own series
+    half = math.prod(p - 1 for p in primes) // 2 + 1
+    return int(np.abs(nt._radical_series(primes, half)).max())
+
+
+def test_kaplan_representative_matches_the_direct_series():
+    # every ternary kernel s <= 20000: A(s) from the representative pqr'
+    # equals the unreduced series' A(s); r' is the least prime above q in
+    # r's class +-r (mod pq), so q < r' <= r, r' is coprime to pq, and the
+    # representative is its own
+    kernels = _ternary_kernels(20000)
+    assert len(kernels) == 1796
+    for s in kernels:
+        p, q, r = (p for p, _ in nt.factorize(s).factors)
+        m = p * q
+        k = nt.height_kernel(s)
+        r2 = k // m
+        assert k == m * r2 and q < r2 <= r and nt.is_prime(r2) and math.gcd(r2, m) == 1, s
+        assert r2 % m in (r % m, -r % m), s
+        assert not any(nt.is_prime(x) for x in range(q + 1, r2)
+                       if x % m in (r % m, -r % m)), s
+        assert nt.height_kernel(k) == k
+        assert nt.height_kernel(4 * p * s) == k
+        assert nt.height(s) == _direct_height([p, q, r]), s
+
+
+def test_kaplan_representative_stays_above_q():
+    # r' > q is load-bearing: 137 = 7 and 151 = -3 in their classes, but the
+    # least classmates below q, 5*13*7 and 7*11*3, have other heights
+    assert nt.height(5 * 13 * 137) == _direct_height([5, 13, 137]) == 3
+    assert nt.height(7 * 11 * 151) == _direct_height([7, 11, 151]) == 2
+    assert nt.height(5 * 7 * 13) == 2 and nt.height(3 * 7 * 11) == 1
+    assert (137 % 65, -151 % 77) == (7, 3)
+    assert nt.height_kernel(5 * 13 * 137) == 5 * 13 * 137
+    assert nt.height_kernel(7 * 11 * 151) == 7 * 11 * 151
+
+
+def test_height_kernel_leaves_other_kernels_odd_and_squarefree():
+    # omega(s) != 3: the odd squarefree kernel itself
+    for n in (1, 2, 8, 9, 18, 45, 90, 2 * 3**2 * 5 * 7 * 11, 15015, 4 * 15015):
+        c = nt.factorize(n)
+        odd = [p for p, _ in c.factors if p != 2]
+        assert len(odd) != 3 and nt.height_kernel(n) == math.prod(odd), n
 
 
 # ---------------------------------------------------------------------------
