@@ -16,8 +16,8 @@ import numpy as np
 
 from . import embeddings, formulas, linalg, ringarith
 from .embeddings import Basis, EmbeddingSpec
-from .numtheory import (_radical_series, cyclotomic_poly, factorize, first_primes, height,
-                        is_prime)
+from .numtheory import (_radical_series, _ternary_series, cyclotomic_poly, factorize,
+                        first_primes, height, is_prime)
 
 
 def _phi_derivative_at(n: int, points: np.ndarray) -> np.ndarray:
@@ -268,10 +268,11 @@ def check_explicit_inverse() -> List[str]:
 
 
 def check_height_identities() -> List[str]:
-    """A(n), taken from the lower half of its height_kernel's series, equals
-    the largest |coefficient| of the full Phi_n from the radical's series,
-    for n <= 200; the divisor product of cyclotomics rebuilds x^n - 1
-    (checked exactly at x = 2)."""
+    """A(n), taken from the lower half of its height_kernel's series (by
+    Kaplan's lemma when that kernel is ternary), equals the largest
+    |coefficient| of the full Phi_n from the radical's Moebius series, for
+    n <= 200; the divisor product of cyclotomics rebuilds x^n - 1 (checked
+    exactly at x = 2)."""
     out = []
     for n in range(2, 201):
         got, want = height(n), max(abs(int(v)) for v in cyclotomic_poly(n))
@@ -292,16 +293,23 @@ def check_height_identities() -> List[str]:
 
 
 def check_kaplan_representatives(s_max: int = 5000) -> List[str]:
-    """A(s) from its Kaplan representative (`height`) vs the largest
-    |coefficient| of the lower half of Phi_s's own series, for every odd
-    squarefree s = pqr <= s_max."""
+    """For every odd squarefree s = pqr <= s_max: the lower half of Phi_s by
+    Kaplan's lemma (`_ternary_series`) vs its Moebius series, entry for
+    entry, and A(s) from its Kaplan representative (`height`) vs the largest
+    |coefficient| of that Moebius series."""
     out = []
     for s in range(105, s_max + 1, 2):
         c = factorize(s)
         if c.omega != 3 or c.rad != s:
             continue
         primes = [p for p, _ in c.factors]
-        want = int(np.abs(_radical_series(primes, c.phi // 2 + 1)).max())
+        half = c.phi // 2 + 1
+        series = _radical_series(primes, half)
+        wrong = np.flatnonzero(_ternary_series(primes, half) != series)
+        if wrong.size:
+            out.append(f"Phi_{s} by Kaplan's lemma differs from its Moebius series "
+                       f"at {wrong.size} degrees, the first {wrong[0]}")
+        want = int(np.abs(series).max())
         got = height(c)
         if got != want:
             out.append(f"A({s}) = {got} from its representative, {want} from its own series")
@@ -434,7 +442,7 @@ QUICK: List[Tuple[str, Callable[[], List[str]]]] = [
     ("exact-Phi_n Vandermonde inverse vs LU (n = 5, 8, 16, 36)", check_explicit_inverse),
     ("height vs max |Phi_n coefficient|, divisor product (n<=200)",
      check_height_identities),
-    ("Kaplan representative vs direct lower-half series (pqr <= 5000)",
+    ("Kaplan lemma and representative vs the Moebius lower half (pqr <= 5000)",
      check_kaplan_representatives),
     ("report values vs the paper's formulas (n<=200)", check_symbolic_reports),
     ("cond formula columns vs the reports, bitwise (n<=2000)", check_cond_columns),
@@ -451,7 +459,7 @@ FULL: List[Tuple[str, Callable[[], List[str]]]] = QUICK + [
      lambda: check_transform_homomorphism(trials=5, size_cap=128)),
     ("derivative-denominator inequality (20 conductors)", check_dens_inequality),
     ("inverse-entry bound sweep (n<=2000, phi<=256)", check_inverse_entry_bound),
-    ("Kaplan representative vs direct lower-half series (pqr <= 1e5)",
+    ("Kaplan lemma and representative vs the Moebius lower half (pqr <= 1e5)",
      lambda: check_kaplan_representatives(10 ** 5)),
     ("cond formula columns vs the reports, bitwise (n<=1e5)",
      lambda: check_cond_columns(10 ** 5)),

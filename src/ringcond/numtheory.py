@@ -14,9 +14,14 @@ squarefree kernel s of n (the odd part of rad n), since Phi_2s(x) = Phi_s(-x):
 A(n) = A(s).  A ternary kernel pqr goes on to its representative pqr', r' the
 least prime above q with r' = +-r (mod pq), since A(pqr') = A(pqr) (Kaplan's
 periodicity, J. Number Theory 127, 2007), and only the lower half of the
-representative's Phi is expanded.  The series is the Moebius product
+representative's Phi is expanded.  A ternary series comes from Kaplan's
+lemma in the same paper, Phi_pqr = Phi_pq(x^r) (1 + ... + x^(p-1))
+(1 - x^q) / (1 - x^pq) with Phi_pq in Lam and Leung's closed form: its
+numerator's terms placed in one int64 buffer, then one product and one
+division pass.  Every other series is the Moebius product
 prod (1 - x^e)^mu, each factor one in-place pass over a single buffer that
-turns from int64 to Python ints where it could overflow.
+turns from int64 to Python ints where it could overflow; it is also the
+ternary series' oracle.
 
 `is_prime` is Miller-Rabin on as few of the prime bases 2..41 as decide n.
 
@@ -204,14 +209,26 @@ def first_primes(count: int, exclude=()) -> list:
 _CUMSUM_MIN_ROWS = 32
 
 
+def _divide(a: np.ndarray, e: int, num_terms: int) -> None:
+    """a /= (1 - x^e) mod x^num_terms, in place: a prefix sum along each
+    residue class mod e, over the rows of a's (rows, e) view.  `a` holds at
+    least num_terms + e - 1 entries; those past num_terms are scratch that
+    pads the view, and their values only ever flow upward."""
+    rows = -(-num_terms // e)
+    if rows < _CUMSUM_MIN_ROWS <= e:
+        for i in range(e, rows * e, e):
+            a[i:i + e] += a[i - e:i]
+    else:
+        v = a[:rows * e].reshape(rows, e)
+        np.cumsum(v, axis=0, out=v)
+
+
 def _series_run(terms, num_terms: int) -> np.ndarray:
     """prod (1 - x^e)^mu over `terms` mod x^num_terms, for 1 <= e < num_terms.
 
     One buffer of num_terms + max(e) entries is updated in place: a product
-    is one shifted subtraction, a division a prefix sum along each residue
-    class mod e, over the rows of its (rows, e) view.  The entries past
-    num_terms are scratch that pads that view; their values only ever flow
-    upward, so the first num_terms entries stay exact.  An int64 buffer
+    is one shifted subtraction, a division one `_divide`.  The entries past
+    num_terms are scratch; the first num_terms stay exact.  An int64 buffer
     tracks an upper bound on its largest magnitude (x2 per product, x rows per
     division), takes the true maximum only when the bound would pass the test
     against _INT64_CAP, and turns into Python ints in place if that fails too.
@@ -221,8 +238,7 @@ def _series_run(terms, num_terms: int) -> np.ndarray:
     # >= a[0] = 1 while a is int64; 0, which no test trips, once it is object
     bound = 1
     for e, mu in terms:
-        rows = -(-num_terms // e)
-        growth = 2 if mu > 0 else rows
+        growth = 2 if mu > 0 else -(-num_terms // e)
         if bound > _INT64_CAP // growth:
             bound = int(np.abs(a[:num_terms]).max())
             if bound > _INT64_CAP // growth:
@@ -230,12 +246,8 @@ def _series_run(terms, num_terms: int) -> np.ndarray:
         bound *= growth
         if mu > 0:
             a[e:num_terms] -= a[:num_terms - e]
-        elif rows < _CUMSUM_MIN_ROWS <= e:
-            for i in range(e, rows * e, e):
-                a[i:i + e] += a[i - e:i]
         else:
-            v = a[:rows * e].reshape(rows, e)
-            np.cumsum(v, axis=0, out=v)
+            _divide(a, e, num_terms)
     return a[:num_terms]
 
 
@@ -256,6 +268,58 @@ def _radical_series(primes, num_terms: int) -> np.ndarray:
              if (e := math.prod(sub)) < num_terms]
     terms.sort(reverse=True)
     return _series_run(terms, num_terms)
+
+
+def _binary_cyclotomic(p: int, q: int) -> np.ndarray:
+    """Coefficients of Phi_pq, ascending, for distinct primes p and q, from
+    Lam and Leung's closed form (Amer. Math. Monthly 103, 1996).
+
+    With (p - 1)(q - 1) = rho p + sigma q (rho + 1 = 1/p mod q, sigma + 1 =
+    1/q mod p), Phi_pq has +1 at ip + jq for i <= rho, j <= sigma, -1 at
+    ip + jq - pq for i > rho, j > sigma, and 0 elsewhere.
+
+    Examples
+    --------
+    >>> _binary_cyclotomic(3, 5)
+    array([ 1, -1,  0,  1, -1,  1,  0, -1,  1])
+    """
+    rho, sigma = pow(p, -1, q) - 1, pow(q, -1, p) - 1
+    # ip + jq for i < q, j < p: one exponent per residue class mod pq
+    e = np.add.outer(np.arange(0, p * q, p), np.arange(0, p * q, q))
+    c = np.zeros((p - 1) * (q - 1) + 1, dtype=np.int64)
+    c[e[:rho + 1, :sigma + 1]] = 1
+    c[e[rho + 1:, sigma + 1:] - p * q] = -1
+    return c
+
+
+def _ternary_series(primes, num_terms: int) -> np.ndarray:
+    """Coefficients of Phi_pqr mod x^num_terms, for (p, q, r) = `primes`,
+    three distinct primes in any order, from the lower half to the whole:
+    phi(pqr) / 2 + 1 <= num_terms <= phi(pqr) + 1.
+
+    Kaplan's lemma (J. Number Theory 127, 2007) divides Phi_pq(x^r) by
+    Phi_pq(x) = (1 - x)(1 - x^pq) / ((1 - x^p)(1 - x^q)):
+    Phi_pqr = Phi_pq(x^r) (1 + x + ... + x^(p-1)) (1 - x^q) / (1 - x^pq).
+    The numerator's terms go straight into one int64 buffer: each term c x^e
+    of Phi_pq (`_binary_cyclotomic`) puts c at r e + m for m < p, rows e to
+    e + (p - 1) // r of the buffer's (rows, r) view, where slots of different
+    terms coincide only when r < p and add up.  Then one shifted subtraction
+    and one `_divide`: every partial sum of that division below num_terms is
+    a coefficient of Phi_pqr, at most min(p, q, r) - 1 in size (Bang), and
+    the scratch past num_terms adds only a few numerator terms to one, so
+    int64 never overflows.
+    """
+    p, q, r = primes
+    c = _binary_cyclotomic(p, q)
+    rows = -(-num_terms // r)
+    a = np.zeros(num_terms + max(p * q, r), dtype=np.int64)
+    v = a[:rows * r].reshape(rows, r)
+    # slot r e + m is column m % r of row e + m // r
+    for t in range(0, p, r):
+        v[t // r:, :p - t] += c[:rows - t // r, None]
+    a[q:num_terms] -= a[:num_terms - q]
+    _divide(a, p * q, num_terms)
+    return a[:num_terms]
 
 
 def cyclotomic_poly(n: int) -> np.ndarray:
@@ -316,8 +380,10 @@ def height(n: int) -> int:
     only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
     signs; a ternary s shares its height with its `height_kernel`.  No series
     is expanded when omega(s) <= 2; otherwise the lower half of the
-    representative's Phi is, on each call: a caller that meets one class many
-    times keys its memo by `height_kernel`.
+    representative's Phi is, on each call, by Kaplan's lemma when it is
+    ternary (`_ternary_series`) and by the Moebius product when it has four
+    or more primes: a caller that meets one class many times keys its memo
+    by `height_kernel`.
 
     Examples
     --------
@@ -325,6 +391,8 @@ def height(n: int) -> int:
     (23, 532)
     >>> height(5 * 7 * 11), height(5 * 7 * 59)
     (3, 3)
+    >>> height(5 * 71 * 137), height(41 * 43 * 53)
+    (2, 17)
     """
     odd = _height_primes(as_conductor(n))
     # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
@@ -333,5 +401,6 @@ def height(n: int) -> int:
         return 1
     # Phi_s is palindromic, so the lower half carries every coefficient
     # magnitude.
-    half = _radical_series(odd, math.prod(p - 1 for p in odd) // 2 + 1)
-    return int(np.abs(half).max())
+    half_terms = math.prod(p - 1 for p in odd) // 2 + 1
+    series = _ternary_series if len(odd) == 3 else _radical_series
+    return int(np.abs(series(odd, half_terms)).max())

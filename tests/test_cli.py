@@ -460,6 +460,23 @@ def test_kaplan_check_detects_a_representative_below_q(monkeypatch):
     assert len(failures) == 7
 
 
+def test_kaplan_check_detects_a_wrong_lam_leung_term(monkeypatch):
+    # Phi_pq's x^1 coefficient, -1 for every pair of primes, flipped to +1:
+    # the lower half by Kaplan's lemma goes wrong on each of the 63 ternary
+    # kernels up to 1300, from x^r on, where that term of Phi_pq(x^r) lands
+    def flipped(p, q):
+        c = real(p, q)
+        c[1] = -c[1]
+        return c
+
+    real = numtheory._binary_cyclotomic
+    monkeypatch.setattr(numtheory, "_binary_cyclotomic", flipped)
+    failures = _checks.check_kaplan_representatives(1300)
+    assert failures[0].startswith("Phi_105 by Kaplan's lemma differs from its Moebius series")
+    assert failures[0].endswith(", the first 7")
+    assert sum("by Kaplan's lemma" in f for f in failures) == 63
+
+
 def test_roundtrip_check_detects_corrupted_tables():
     ctx = ringarith.make_context(12289, 8)
     ctx._fwd[3] = ctx._fwd[3] * 2 % ctx.q  # sabotage one twiddle factor

@@ -4,6 +4,7 @@ sympy is the oracle wherever a value is derivable; the classical identities
 (degree, palindromy, values at 0 and 1, height invariance under the radical)
 are asserted as properties.
 """
+import itertools
 import math
 
 import numpy as np
@@ -297,6 +298,37 @@ def test_kaplan_representative_stays_above_q():
     assert (137 % 65, -151 % 77) == (7, 3)
     assert nt.height_kernel(5 * 13 * 137) == 5 * 13 * 137
     assert nt.height_kernel(7 * 11 * 151) == 7 * 11 * 151
+
+
+def test_binary_cyclotomic_is_lam_leungs_closed_form():
+    # every pair of odd primes with pq <= 5000, in both orders, against the
+    # Moebius series of Phi_pq; sympy on every 25th pair
+    primes = [p for p in range(3, 1667) if nt.is_prime(p)]
+    pairs = [(p, q) for p in primes for q in primes if p < q and p * q <= 5000]
+    assert len(pairs) == 980
+    for p, q in pairs:
+        want = nt.cyclotomic_poly(p * q)
+        assert np.array_equal(nt._binary_cyclotomic(p, q), want), (p, q)
+        assert np.array_equal(nt._binary_cyclotomic(q, p), want), (q, p)
+    for p, q in pairs[::25]:
+        assert nt._binary_cyclotomic(p, q).tolist() == _sympy_cyclotomic(p * q).tolist()
+
+
+def test_ternary_series_matches_the_moebius_series():
+    # Kaplan's lemma vs the Moebius product, coefficient for coefficient,
+    # over the lower half and the whole of Phi_pqr: every ternary kernel
+    # s <= 20000, every order of the primes of s <= 2000, and triples with
+    # r below p or q, where the slots r e + m of different terms coincide
+    triples = [tuple(p for p, _ in nt.factorize(s).factors) for s in _ternary_kernels(20000)]
+    triples += [order for s in _ternary_kernels(2000)
+                for order in itertools.permutations(p for p, _ in nt.factorize(s).factors)]
+    triples += [(3, 5, 2), (3, 7, 5), (7, 3, 11)]
+    for primes in triples:
+        phi = math.prod(p - 1 for p in primes)
+        for num_terms in (phi // 2 + 1, phi + 1):
+            got = nt._ternary_series(primes, num_terms)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, nt._radical_series(primes, num_terms)), (primes, num_terms)
 
 
 def test_height_kernel_leaves_other_kernels_odd_and_squarefree():
