@@ -21,12 +21,13 @@ formulas.cond_columns, which evaluates them from the conductor's exact
 integers, bitwise equal to the BoundReport functions that remain the
 library API and its oracle.  Per call it keeps a dict of heights, keyed by
 numtheory.height_kernel (the odd kernel, or a ternary kernel's Kaplan
-representative), so each class's height series runs once, and one
-embeddings.FactoredCond by odd kernel, so each kernel's norm is found once,
-inverting nothing: a composite kernel's by the Parseval sum, a prime p's as
-(p - 1)/p exactly.  Both are dropped when the sweep ends.  All columns
-except the bench timing medians and their wall_ratio are byte-deterministic
-for a fixed configuration.
+representative), so each class's height series runs once; a row finds the
+representative's primes once and hands them to the series on a miss.  It
+also keeps one embeddings.FactoredCond by odd kernel, so each kernel's norm
+is found once, inverting nothing: a composite kernel's by the Parseval sum,
+a prime p's as (p - 1)/p exactly.  Both are dropped when the sweep ends.
+All columns except the bench timing medians and their wall_ratio are
+byte-deterministic for a fixed configuration.
 
 The argument parser is built once, at import; main only parses with it and
 reports errors through it, so in-process callers do not rebuild it.
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import _checks, embeddings, formulas, linalg, ringarith
 from .embeddings import Basis, EmbeddingSpec
-from .numtheory import factorize, first_primes, height, height_kernel, is_prime
+from .numtheory import _height_primes, _kernel_height, factorize, first_primes, is_prime
 
 _DEFAULT_SWEEP_LIMIT = 100_000
 _TWELVE = DecimalContext(prec=12)
@@ -148,17 +149,19 @@ def _cond_rows(config: SweepConfig):
     # the odd squarefree kernel s of n, the memo by s's height_kernel (a
     # ternary kernel's Kaplan representative, else s), so each kernel's norm
     # is summed and each class's height series run once; both are dropped
-    # with the generator
+    # with the generator.  The representative's primes are found once per
+    # row, for the key and, on a miss, the series
     cond = embeddings.FactoredCond(real=linalg.PRECISIONS[config.precision])
     heights = {}
     for n in range(max(config.n_min, 2), config.n_max + 1):
         c = factorize(n)
         if config.omega_filter is not None and c.omega != config.omega_filter:
             continue
-        k = height_kernel(c)
+        odd = _height_primes(c)
+        k = math.prod(odd)
         a = heights.get(k)
         if a is None:
-            a = heights[k] = height(c)
+            a = heights[k] = _kernel_height(odd)
         # the general bound scales linearly in the height, so the
         # height-normalized column is just the bound evaluated at height 1
         closed, twisted, refined, over_a, over_a_exact = formulas.cond_columns(c)
@@ -184,11 +187,20 @@ def _bench_prime(m_total: int, quad_d: Sequence[int], q_bits: int) -> int:
     2*m_total (the full-size NTT needs it; the hybrid's subgroup condition
     follows) with every d_i a residue.  It may have more than q_bits bits:
     3169320961 (32 bits) at m_total = 2^16 with 12 d_i, 20666646529 (35
-    bits, so object-dtype kernels) with 13."""
+    bits, so object-dtype kernels) with 13.
+
+    The d_i are odd primes and m_total is even, as `cmd_bench` passes them,
+    so every q is 1 mod 4 and quadratic reciprocity gives (d/q) = (q/d): d
+    is a residue mod a prime q exactly when q mod d is a nonzero square mod
+    d.  That screen runs before `is_prime` and passes about 2^-r of the
+    progression; it drops no prime that the full test keeps, and the final
+    `pow` check stays."""
     step = 2 * m_total
+    squares = [(d, {x * x % d for x in range(1, d)}) for d in quad_d]
     q = (((1 << (q_bits - 1)) // step) + 1) * step + 1
     while q < (1 << 62):
-        if is_prime(q) and all(pow(d, (q - 1) // 2, q) == 1 for d in quad_d):
+        if (all(q % d in sq for d, sq in squares) and is_prime(q)
+                and all(pow(d, (q - 1) // 2, q) == 1 for d in quad_d)):
             return q
         q += step
     raise ValueError(f"no suitable prime below 2^62 for m={m_total}, qbits={q_bits}")

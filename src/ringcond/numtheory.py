@@ -23,7 +23,9 @@ prod (1 - x^e)^mu, each factor one in-place pass over a single buffer that
 turns from int64 to Python ints where it could overflow; it is also the
 ternary series' oracle.
 
-`is_prime` is Miller-Rabin on as few of the prime bases 2..41 as decide n.
+`is_prime` is Miller-Rabin on as few of the prime bases 2..41 as decide n,
+after two screens that reject most composites: a gcd with the product of
+those bases and a base-2 Fermat test.
 
 Constant tuples are the module's only state: every function is pure, and a
 caller that meets one class many times (a `cond` sweep) keeps its own memo.
@@ -141,26 +143,27 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         3825123056546413051, 3825123056546413051, 318665857834031151167461,
         3317044064679887385961981)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PRODUCT = math.prod(_MR_BASES)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first k of the 13 prime bases 2..41,
     k the least with n < psi_k, for n below 3317044064679887385961981 =
-    psi_13; ValueError from psi_13 on."""
+    psi_13; ValueError from psi_13 on.  Two screens reject most composites
+    first: one gcd with the product of the bases, and a base-2 Fermat test,
+    which a prime passes and which runs in one `pow`."""
     n = operator.index(n)
     if n >= _PSI[-1]:
         raise ValueError(f"is_prime decides only n < {_PSI[-1]}, got {n}")
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _MR_PRODUCT) != 1:
+        return n in _MR_BASES
+    if pow(2, n - 1, n) != 1:
+        return False
     bases = _MR_BASES[:bisect.bisect_right(_PSI, n) + 1]
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
     for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -394,7 +397,12 @@ def height(n: int) -> int:
     >>> height(5 * 71 * 137), height(41 * 43 * 53)
     (2, 17)
     """
-    odd = _height_primes(as_conductor(n))
+    return _kernel_height(_height_primes(as_conductor(n)))
+
+
+def _kernel_height(odd) -> int:
+    """A(s) for s the product of `odd`, the odd primes `_height_primes`
+    gives: the body of `height`, for a caller that has them already."""
     # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
     # cross-checked against the full series of Phi_n in the tests.
     if len(odd) < 3:

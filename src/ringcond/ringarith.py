@@ -80,21 +80,34 @@ class OpCounter:
         self.adds = 0
 
 
-def _bitrev(x, bits: int):
-    """Reverse the low `bits` bits of x, an int or an integer array."""
-    out = x & 0  # 0 of x's type
+def _dtype(q: int):
+    """The dtype a context with modulus q computes in: uint64 when q < 2^32,
+    where a product of two residues stays below 2^64, else object."""
+    return np.uint64 if q < 1 << 32 else object
+
+
+def _subset_products(start: int, factors: Sequence[int], q: int) -> np.ndarray:
+    """Entry e is start * prod(factors[i] for set bits i of e) mod q, as an
+    array of _dtype(q): one numpy pass per factor, each doubling the table,
+    t[k:2k] = t[:k] * factors[i], k = 2^i."""
+    t = np.empty(1 << len(factors), dtype=_dtype(q))
+    t[0] = start
+    for i, f in enumerate(factors):
+        half = t[1 << i:2 << i]
+        np.multiply(t[:1 << i], f, out=half)
+        _mod(half, q)
+    return t
+
+
+def _bitrev_powers(g: int, bits: int, q: int, start: int = 1) -> np.ndarray:
+    """start * g^bitrev(e) mod q for e < 2^bits, bitrev reversing the low
+    `bits` bits: the subset products over g^(2^(bits-1)), ..., g^2, g, the
+    repeated squares of g in reverse order."""
+    squares = []
     for _ in range(bits):
-        out = (out << 1) | (x & 1)
-        x = x >> 1
-    return out
-
-
-def _powers(x: int, n: int, q: int) -> List[int]:
-    """x^i mod q for i < n."""
-    out = [1] * n
-    for i in range(1, n):
-        out[i] = out[i - 1] * x % q
-    return out
+        squares.append(g)
+        g = g * g % q
+    return _subset_products(start, squares[::-1], q)
 
 
 def _sqrt_mod(a: int, q: int) -> int:
@@ -134,8 +147,15 @@ class RingContext:
 
     Immutable after construction apart from the counter.  Use make_context;
     the constructor trusts its inputs.  The transform tables are arrays of
-    the dtype the kernels compute in (see the module docstring).  Compared
-    by identity: vectors combine only within one context.
+    the dtype the kernels compute in (see the module docstring), each built
+    by `_subset_products` in one numpy pass per factor, each doubling the
+    table, with no Python loop over entries: the twiddles psi^bitrev(e) and
+    psi^-bitrev(e) over the log2(m_cyclo) repeated squares of psi and of
+    1/psi, taken in reverse order so that the table comes out bit-reversed;
+    the diagonal and the d-products over the r roots and d_i; and the
+    inverse diagonal from 1/m over the r inverted roots, so r modular
+    inversions instead of 2^r.  Compared by identity: vectors combine only
+    within one context.
     """
 
     q: int
@@ -149,28 +169,20 @@ class RingContext:
         self.r = len(self.quad_d)
         self.m = self.m_cyclo << self.r
         self.log_mc = self.m_cyclo.bit_length() - 1
-        mc, q = self.m_cyclo, self.q
-        self._dtype = np.uint64 if q < 1 << 32 else object
-        # bit-reversed twiddle tables; index len+i at butterfly stage len
-        rev = _bitrev(np.arange(mc), self.log_mc)
-        self._fwd = self._table(_powers(self.psi, mc, q))[rev]
-        self._inv = self._table(_powers(pow(self.psi, q - 2, q), mc, q))[rev]
+        q = self.q
+        self._dtype = _dtype(q)
+        # bit-reversed twiddle tables, psi^(+-bitrev(e)) at index e; index
+        # len+i at butterfly stage len
+        self._fwd = _bitrev_powers(self.psi, self.log_mc, q)
+        self._inv = _bitrev_powers(pow(self.psi, -1, q), self.log_mc, q)
         # diagonal tables over quadratic monomial masks; the inverse one
-        # folds in 1/m, so at r = 0 it is the NTT's single 1/m_cyclo
-        diag = [1] * (1 << self.r)
-        dprod = [1] * (1 << self.r)
-        for i in range(self.r):
-            for e in range(1 << i):
-                diag[e | (1 << i)] = diag[e] * self.quad_roots[i] % q
-                dprod[e | (1 << i)] = dprod[e] * (self.quad_d[i] % q) % q
-        self._diag = self._table(diag)
-        self._dprod = dprod
-        invm = pow(self.m % q, q - 2, q)
-        self._hybrid_idiag = self._table(invm * pow(d, q - 2, q) % q for d in diag)
+        # folds in 1/m, so at r = 0 it is the NTT's single 1/m_cyclo, and
+        # its factors are the r inverted roots
+        self._diag = _subset_products(1, self.quad_roots, q)
+        self._dprod = _subset_products(1, [d % q for d in self.quad_d], q).tolist()
+        self._hybrid_idiag = _subset_products(pow(self.m % q, -1, q),
+                                              [pow(s, -1, q) for s in self.quad_roots], q)
         self._plans = {}
-
-    def _table(self, residues) -> np.ndarray:
-        return np.array(list(residues), dtype=self._dtype)
 
     def _plan(self, forward: bool) -> "_Plan":
         """The forward or inverse transform plan, built on first use; it
@@ -261,9 +273,11 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
     psi is the smallest 2*m_cyclo-th root of -1 mod q: take any quadratic
     non-residue x, then psi0 = x^((q-1)/(2 m_cyclo)) has exact order
     2*m_cyclo, and psi0 * <psi0^2> enumerates every solution of
-    y^{m_cyclo} = -1, so the minimum over that coset is global.  Quadratic
-    roots s_i = sqrt(d_i) come from Tonelli-Shanks, canonicalized to
-    min(s, q-s).
+    y^{m_cyclo} = -1, so the minimum over that coset is global.  The coset,
+    the odd powers of psi0, is built as the context tables are (see
+    RingContext): log2(m_cyclo) doubling passes of numpy, then one min.
+    Quadratic roots s_i = sqrt(d_i) come from Tonelli-Shanks, canonicalized
+    to min(s, q-s).
     """
     q, m_cyclo = operator.index(q), operator.index(m_cyclo)
     if q >= _Q_CAP:
@@ -292,12 +306,8 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
     while pow(x, (q - 1) // 2, q) != q - 1:
         x += 1
     psi0 = pow(x, (q - 1) // (2 * m_cyclo), q)
-    gen = psi0 * psi0 % q
-    psi, cur = psi0, psi0
-    for _ in range(m_cyclo - 1):
-        cur = cur * gen % q
-        if cur < psi:
-            psi = cur
+    # the odd powers psi0^(2j+1), j < m_cyclo, in an order the min ignores
+    psi = int(_bitrev_powers(psi0 * psi0 % q, m_cyclo.bit_length() - 1, q, psi0).min())
     assert pow(psi, m_cyclo, q) == q - 1
     return RingContext(q, m_cyclo, quad_d, psi, tuple(roots))
 

@@ -217,18 +217,26 @@ def test_cond_exact_columns_pinned_where_heights_are_large(tmp_path, window):
 
 def test_cond_runs_one_height_series_per_kaplan_class(tmp_path, monkeypatch):
     # 435..915 has 50 rows whose odd kernel has three or more primes, on 38
-    # kernels and 23 representatives: the memo calls height once for each
-    # representative, and every 3*5*r there with r = +-1 (mod 15) shares 3*5*29
-    called = []
+    # kernels and 23 representatives: the memo runs the series once for each
+    # representative, and every 3*5*r there with r = +-1 (mod 15) shares
+    # 3*5*29.  Each row searches for its representative once, for the key
+    # and the series alike
+    called, searched = [], []
 
-    def spy(c):
-        if sum(p != 2 for p, _ in c.factors) >= 3:
-            called.append(numtheory.height_kernel(c))
-        return real_height(c)
+    def spy(odd):
+        if len(odd) >= 3:
+            called.append(math.prod(odd))
+        return real_height(odd)
 
-    real_height = cli.height
-    monkeypatch.setattr(cli, "height", spy)
+    def count_search(c):
+        searched.append(c.n)
+        return real_primes(c)
+
+    real_height, real_primes = cli._kernel_height, cli._height_primes
+    monkeypatch.setattr(cli, "_kernel_height", spy)
+    monkeypatch.setattr(cli, "_height_primes", count_search)
     rows = run_cond(tmp_path, "--min", "435", "--max", "915", "--numeric-cap", "0")
+    assert searched == list(range(435, 916))
     assert len(called) == len(set(called)) == 23
     odd = [rad if rad % 2 else rad // 2 for rad in (int(row["rad"]) for row in rows)]
     odd = [s for s in odd if numtheory.factorize(s).omega >= 3]
@@ -288,6 +296,38 @@ def test_bench_counts_and_ratios(tmp_path):
     assert float(row["asymptotic_ratio"]) == pytest.approx(5 / 2, rel=1e-12)
     assert float(row["ntt_swap_ms"]) > 0
     assert float(row["hybrid_swap_ms"]) > 0
+
+
+def _naive_bench_prime(m_total, quad_d, q_bits):
+    # every term of the progression through the full test, no screen
+    step = 2 * m_total
+    q = (((1 << (q_bits - 1)) // step) + 1) * step + 1
+    while q < 1 << 62:
+        if is_prime(q) and all(pow(d, (q - 1) // 2, q) == 1 for d in quad_d):
+            return q
+        q += step
+
+
+def _bench_prime_grid():
+    # m_total from 4 up to 2^17 as r goes from 0 to 13, every q_bits up to
+    # r = 12; plus the two CI bench shapes.  r = 13 at 40 bits would take
+    # the naive search seconds
+    for r in range(14):
+        for q_bits in (8, 20, 30, 40) if r < 13 else (30,):
+            yield 1 << (2 + 15 * r // 13), r, q_bits
+    yield 16 << 12, 12, 30
+
+
+def test_bench_prime_screen_matches_the_naive_search():
+    # the reciprocity screen on q mod d drops no prime the full test keeps
+    found = []
+    for m_total, r, q_bits in _bench_prime_grid():
+        quad_d = tuple(numtheory.first_primes(r, exclude=(2,)))
+        q = cli._bench_prime(m_total, quad_d, q_bits)
+        assert q == _naive_bench_prime(m_total, quad_d, q_bits), (m_total, r, q_bits)
+        found.append(q)
+    assert 3169320961 in found and 20666646529 in found
+    assert sum(q > 1 << 32 for q in found) == 14
 
 
 def test_bench_without_a_suitable_prime_exits_2(capsys):

@@ -114,6 +114,24 @@ def test_is_prime_hard_cases(n, expected):
     assert nt.is_prime(n) == expected
 
 
+def test_is_prime_screens_agree_with_sympy():
+    # the gcd and base-2 Fermat screens on the ring-swap bench search, the
+    # 20,126 terms q = 1 (mod 2^17) from the first above 2^29 (its modulus
+    # 3169320961 among them), where v2(q - 1) >= 17 ...
+    step = 1 << 17
+    q0 = ((1 << 29) // step + 1) * step + 1
+    progression = range(q0, q0 + 20126 * step, step)
+    assert 3169320961 in progression
+    for q in progression:
+        assert nt.is_prime(q) == sympy.isprime(q), q
+    # ... and on every base-2 Fermat pseudoprime below 10^5: each passes the
+    # Fermat screen or falls to the gcd, and is_prime must still say no
+    pseudo = [n for n in range(3, 10**5, 2) if pow(2, n - 1, n) == 1 and not sympy.isprime(n)]
+    assert len(pseudo) == 78 and pseudo[:3] == [341, 561, 645]
+    assert not any(map(nt.is_prime, pseudo))
+    assert any(math.gcd(n, nt._MR_PRODUCT) == 1 for n in pseudo)
+
+
 def _strong_probable_prime(n, a):
     d, s = n - 1, 0
     while d % 2 == 0:

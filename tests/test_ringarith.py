@@ -34,6 +34,11 @@ def rand_poly(ctx, rng):
     return ctx.poly([rng.randrange(ctx.q) for _ in range(ctx.m)])
 
 
+def _bitrev(i, bits):
+    """i with its low `bits` bits reversed."""
+    return int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
+
+
 # ---------------------------------------------------------------------------
 # context construction
 
@@ -57,6 +62,12 @@ def test_psi_is_smallest_solution():
             y for y in range(1, q) if pow(y, m, q) == q - 1
         )
         assert ctx.psi == brute
+    # a uint64 q with 2^16 solutions: the first y from 1 up that solves
+    # y^(2^16) = -1, about 10^4 tries, against the minimum of the coset
+    q, m = 3169320961, 1 << 16
+    ctx = ra.make_context(q, m)
+    assert ctx._fwd.dtype == np.uint64
+    assert ctx.psi == next(y for y in range(1, q) if pow(y, m, q) == q - 1) == 10641
 
 
 def test_quad_roots_are_canonical_square_roots():
@@ -200,7 +211,7 @@ def test_ntt_output_ordering_is_bitrev_odd_powers():
     out = ra.ntt_forward(a)
     q, m = ctx.q, ctx.m
     for i in range(m):
-        e = 2 * ra._bitrev(i, 3) + 1
+        e = 2 * _bitrev(i, 3) + 1
         x = pow(ctx.psi, e, q)
         want = 0
         for c in reversed(a.values):
@@ -690,6 +701,55 @@ def _residue_ds(q, r):
     return tuple(out)
 
 
+def _oracle_tables(ctx):
+    """The context tables by pure-int loops: powers of psi and of its
+    inverse one entry at a time, indexed by bit reversal; the diagonal and
+    d-products one mask at a time; each inverse diagonal entry by its own
+    inversion, pow(d, q - 2, q)."""
+    q, mc, r = ctx.q, ctx.m_cyclo, ctx.r
+
+    def powers(x):
+        out = [1] * mc
+        for i in range(1, mc):
+            out[i] = out[i - 1] * x % q
+        return [out[_bitrev(i, ctx.log_mc)] for i in range(mc)]
+
+    diag, dprod = [1] * (1 << r), [1] * (1 << r)
+    for i in range(r):
+        for e in range(1 << i):
+            diag[e | 1 << i] = diag[e] * ctx.quad_roots[i] % q
+            dprod[e | 1 << i] = dprod[e] * (ctx.quad_d[i] % q) % q
+    invm = pow(ctx.m % q, q - 2, q)
+    return {"_fwd": powers(ctx.psi), "_inv": powers(pow(ctx.psi, q - 2, q)),
+            "_diag": diag, "_dprod": dprod,
+            "_hybrid_idiag": [invm * pow(d, q - 2, q) % q for d in diag]}
+
+
+_BENCH_Q12, _BENCH_Q13 = 3169320961, 20666646529  # bench --mcyclo 16 --r 12, 13
+
+
+@pytest.mark.parametrize("q, mc, ds", [
+    pytest.param(Q_U64_2POW30, 1 << 16, (), id="ntt-u64"),
+    pytest.param(Q_U64_2POW30, 1, _residue_ds(Q_U64_2POW30, 12), id="wht-u64"),
+    pytest.param(_BENCH_Q12, 16, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41),
+                 id="16x12-u64"),
+    pytest.param(_BENCH_Q13, 16, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43),
+                 id="16x13-object"),
+    pytest.param(Q_OBJECT_2POW18, 1 << 12, (), id="ntt-62bit"),
+    pytest.param(Q_OBJECT_2POW18, 1, _residue_ds(Q_OBJECT_2POW18, 10), id="wht-62bit"),
+    pytest.param(Q_OBJECT_2POW18, 16, _residue_ds(Q_OBJECT_2POW18, 12), id="16x12-62bit"),
+])
+def test_tables_match_the_pure_int_oracle(q, mc, ds):
+    ctx = ra.make_context(q, mc, ds)
+    want = _oracle_tables(ctx)
+    for name in ("_fwd", "_inv", "_diag", "_hybrid_idiag"):
+        table = getattr(ctx, name)
+        assert table.dtype == (np.uint64 if q < 1 << 32 else object), name
+        assert table.tolist() == want[name], name
+    assert ctx._dprod == want["_dprod"]
+    assert all(type(v) is int for v in ctx._dprod)
+
+
 def _plan_shapes():
     for q, cap in ((Q_U64_2POW30, 1 << 16), (Q_OBJECT_2POW18, 1 << 10)):
         for blocks in (1, 2, 64, 4096):
@@ -763,7 +823,7 @@ def test_ntt_65536_against_direct_evaluation():
     out = ra.ntt_forward(a)
     coeffs = a.values[::-1]
     for i in rng.sample(range(m), 16):
-        x = pow(ctx.psi, 2 * ra._bitrev(i, 16) + 1, q)
+        x = pow(ctx.psi, 2 * _bitrev(i, 16) + 1, q)
         want = 0
         for c in coeffs:
             want = (want * x + c) % q
