@@ -268,8 +268,8 @@ def check_explicit_inverse() -> List[str]:
 
 
 def check_height_identities() -> List[str]:
-    """A(n), taken from the lower half of its height_kernel's series (by
-    Kaplan's lemma when that kernel is ternary), equals the largest
+    """A(n), taken from the lower half of its representative's series (by
+    Kaplan's lemma when that representative is ternary), equals the largest
     |coefficient| of the full Phi_n from the radical's Moebius series, for
     n <= 200; the divisor product of cyclotomics rebuilds x^n - 1 (checked
     exactly at x = 2)."""

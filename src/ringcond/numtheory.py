@@ -27,8 +27,10 @@ ternary series' oracle.
 after two screens that reject most composites: a gcd with the product of
 those bases and a base-2 Fermat test.
 
-Constant tuples are the module's only state: every function is pure, and a
-caller that meets one class many times (a `cond` sweep) keeps its own memo.
+Constant tuples are the module's only state.  `height` fills a memo keyed
+by representative when its caller passes one, a dict that caller owns: a
+`cond` sweep, which meets one class many times, keeps one per call.  Every
+other function is pure.
 """
 from __future__ import annotations
 
@@ -348,7 +350,12 @@ def cyclotomic_poly(n: int) -> np.ndarray:
 
 
 def _height_primes(c: Conductor) -> list:
-    # the odd primes of c, the largest swapped for r' when there are three
+    """The primes of the representative whose series gives A(c.n): the odd
+    primes of c, with r swapped for r' when they are p < q < r.  r' is the
+    least prime above q with r' = +-r (mod pq); A(pqr') = A(pqr) by Kaplan's
+    periodicity, which needs r' > q: 5*13*7 has height 2, but 5*13*137
+    height 3.  r itself qualifies, so r' <= r, and a representative is its
+    own representative."""
     odd = [p for p, _ in c.factors if p != 2]
     if len(odd) == 3:
         p, q, r = odd
@@ -359,56 +366,42 @@ def _height_primes(c: Conductor) -> list:
     return odd
 
 
-def height_kernel(n) -> int:
-    """The integer whose series gives A(n): the odd squarefree kernel s of
-    n, with its largest prime r swapped for r' when s = pqr, p < q < r.
-
-    r' is the least prime above q with r' = +-r (mod pq); A(pqr') = A(pqr)
-    by Kaplan's periodicity, which needs r' > q: 5*13*7 has height 2, but
-    5*13*137 height 3.  r itself qualifies, so r' <= r, and a kernel is its
-    own representative's representative.
-
-    Examples
-    --------
-    >>> height_kernel(2 * 5 * 7 * 59), height_kernel(5 * 7 * 11)
-    (385, 385)
-    """
-    return math.prod(_height_primes(as_conductor(n)))
-
-
-def height(n: int) -> int:
+def height(n, memo=None) -> int:
     """A(n): the maximum absolute coefficient of Phi_n.
 
     A(n) = A(s) for s the odd part of rad n: Phi_n(x) = Phi_rad n(x^(n/rad n))
     only spreads the coefficients out, and Phi_2s(x) = Phi_s(-x) only flips
-    signs; a ternary s shares its height with its `height_kernel`.  No series
-    is expanded when omega(s) <= 2; otherwise the lower half of the
-    representative's Phi is, on each call, by Kaplan's lemma when it is
-    ternary (`_ternary_series`) and by the Moebius product when it has four
-    or more primes: a caller that meets one class many times keys its memo
-    by `height_kernel`.
+    signs; s shares its height with its representative (`_height_primes`).
+    No series is expanded when omega(s) <= 2.  Otherwise the lower half of
+    the representative's Phi is, by Kaplan's lemma when it is ternary
+    (`_ternary_series`) and by the Moebius product when it has four or more
+    primes, unless `memo`, a dict the caller owns, holds that
+    representative's height already: a caller that meets one class many
+    times (a `cond` sweep) passes the same dict on every call.
 
     Examples
     --------
     >>> height(15015), height(255255)
     (23, 532)
-    >>> height(5 * 7 * 11), height(5 * 7 * 59)
-    (3, 3)
     >>> height(5 * 71 * 137), height(41 * 43 * 53)
     (2, 17)
+    >>> memo = {}
+    >>> height(5 * 7 * 11, memo), height(2 * 5 * 7 * 59, memo), memo
+    (3, 3, {385: 3})
     """
-    return _kernel_height(_height_primes(as_conductor(n)))
-
-
-def _kernel_height(odd) -> int:
-    """A(s) for s the product of `odd`, the odd primes `_height_primes`
-    gives: the body of `height`, for a caller that has them already."""
+    odd = _height_primes(as_conductor(n))
     # Phi_1, Phi_p and Phi_pq have coefficients in {-1, 0, 1};
     # cross-checked against the full series of Phi_n in the tests.
     if len(odd) < 3:
         return 1
-    # Phi_s is palindromic, so the lower half carries every coefficient
-    # magnitude.
-    half_terms = math.prod(p - 1 for p in odd) // 2 + 1
-    series = _ternary_series if len(odd) == 3 else _radical_series
-    return int(np.abs(series(odd, half_terms)).max())
+    if memo is None:
+        memo = {}
+    key = math.prod(odd)
+    a = memo.get(key)
+    if a is None:
+        # Phi_s is palindromic, so the lower half carries every coefficient
+        # magnitude.
+        half_terms = math.prod(p - 1 for p in odd) // 2 + 1
+        series = _ternary_series if len(odd) == 3 else _radical_series
+        a = memo[key] = int(np.abs(series(odd, half_terms)).max())
+    return a

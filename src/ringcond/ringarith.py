@@ -110,21 +110,18 @@ def _bitrev_powers(g: int, bits: int, q: int, start: int = 1) -> np.ndarray:
     return _subset_products(start, squares[::-1], q)
 
 
-def _sqrt_mod(a: int, q: int) -> int:
-    """Tonelli-Shanks square root of a quadratic residue a mod an odd prime q."""
+def _sqrt_mod(a: int, q: int, z: int) -> int:
+    """Tonelli-Shanks square root of a quadratic residue a mod an odd prime q,
+    given a quadratic non-residue z mod q.  For q = 3 (mod 4) the loop never
+    runs and the root is a^((q+1)/4)."""
     a %= q
     if a == 0:
         return 0
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
     # write q-1 = odd * 2^twos, walk the 2-Sylow subgroup down
     odd, twos = q - 1, 0
     while odd % 2 == 0:
         odd //= 2
         twos += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) != q - 1:
-        z += 1
     c = pow(z, odd, q)
     t = pow(a, odd, q)
     s = pow(a, (odd + 1) // 2, q)
@@ -270,14 +267,14 @@ def _reduce(ints: np.ndarray, ctx: RingContext, domain: Domain = Domain.COEFFICI
 def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContext:
     """Validate parameters, search roots, and precompute tables (uncounted).
 
-    psi is the smallest 2*m_cyclo-th root of -1 mod q: take any quadratic
-    non-residue x, then psi0 = x^((q-1)/(2 m_cyclo)) has exact order
+    psi is the smallest 2*m_cyclo-th root of -1 mod q: take the least quadratic
+    non-residue x, found once, then psi0 = x^((q-1)/(2 m_cyclo)) has exact order
     2*m_cyclo, and psi0 * <psi0^2> enumerates every solution of
     y^{m_cyclo} = -1, so the minimum over that coset is global.  The coset,
     the odd powers of psi0, is built as the context tables are (see
     RingContext): log2(m_cyclo) doubling passes of numpy, then one min.
-    Quadratic roots s_i = sqrt(d_i) come from Tonelli-Shanks, canonicalized
-    to min(s, q-s).
+    Quadratic roots s_i = sqrt(d_i) come from Tonelli-Shanks with the same x,
+    canonicalized to min(s, q-s).
     """
     q, m_cyclo = operator.index(q), operator.index(m_cyclo)
     if q >= _Q_CAP:
@@ -291,6 +288,9 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
     quad_d = tuple(map(operator.index, quad_d))
     if len(set(quad_d)) != len(quad_d):
         raise ValueError(f"duplicate d_i in {quad_d}")
+    x = 2
+    while pow(x, (q - 1) // 2, q) != q - 1:
+        x += 1
     roots = []
     for d in quad_d:
         if d < 1:
@@ -299,12 +299,9 @@ def make_context(q: int, m_cyclo: int, quad_d: Sequence[int] = ()) -> RingContex
             raise ValueError(f"d_i must be squarefree, got {d}")
         if pow(d, (q - 1) // 2, q) != 1:
             raise ValueError(f"{d} is a quadratic non-residue mod {q}")
-        s = _sqrt_mod(d, q)
+        s = _sqrt_mod(d, q, x)
         roots.append(min(s, q - s))
 
-    x = 2
-    while pow(x, (q - 1) // 2, q) != q - 1:
-        x += 1
     psi0 = pow(x, (q - 1) // (2 * m_cyclo), q)
     # the odd powers psi0^(2j+1), j < m_cyclo, in an order the min ignores
     psi = int(_bitrev_powers(psi0 * psi0 % q, m_cyclo.bit_length() - 1, q, psi0).min())

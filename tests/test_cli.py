@@ -223,18 +223,20 @@ def test_cond_runs_one_height_series_per_kaplan_class(tmp_path, monkeypatch):
     # and the series alike
     called, searched = [], []
 
-    def spy(odd):
-        if len(odd) >= 3:
-            called.append(math.prod(odd))
-        return real_height(odd)
+    def spying(real):
+        def spy(primes, num_terms):
+            called.append(math.prod(primes))
+            return real(primes, num_terms)
+        return spy
 
     def count_search(c):
         searched.append(c.n)
         return real_primes(c)
 
-    real_height, real_primes = cli._kernel_height, cli._height_primes
-    monkeypatch.setattr(cli, "_kernel_height", spy)
-    monkeypatch.setattr(cli, "_height_primes", count_search)
+    real_primes = numtheory._height_primes
+    monkeypatch.setattr(numtheory, "_height_primes", count_search)
+    for name in ("_ternary_series", "_radical_series"):
+        monkeypatch.setattr(numtheory, name, spying(getattr(numtheory, name)))
     rows = run_cond(tmp_path, "--min", "435", "--max", "915", "--numeric-cap", "0")
     assert searched == list(range(435, 916))
     assert len(called) == len(set(called)) == 23
@@ -244,9 +246,31 @@ def test_cond_runs_one_height_series_per_kaplan_class(tmp_path, monkeypatch):
     ones = sorted(s for s in set(odd) if s % 15 == 0 and numtheory.factorize(s).omega == 3
                   and s // 15 % 15 in (1, 14))
     assert ones == [435, 465, 885, 915]
-    assert {numtheory.height_kernel(s) for s in ones} == {435}
+    assert {math.prod(real_primes(numtheory.factorize(s))) for s in ones} == {435}
     for row in rows:
         assert int(row["A_n"]) == numtheory.height(int(row["n"]))
+
+
+def test_cond_asks_height_once_per_row_with_one_memo_per_call(tmp_path, monkeypatch):
+    # every row's A(n) comes through the name `height` that cli imports from
+    # numtheory, the one a tracer that wraps numtheory.height replaces, with
+    # the same memo for every row of a call and a new one for the next call
+    calls = []
+
+    def spy(n, memo=None):
+        calls.append((n.n, memo))
+        return real(n, memo)
+
+    real = cli.height
+    assert real is numtheory.height
+    monkeypatch.setattr(cli, "height", spy)
+    rows = run_cond(tmp_path, "--min", "2", "--max", "400", "--numeric-cap", "0")
+    first = calls[0][1]
+    assert [n for n, _ in calls] == [int(row["n"]) for row in rows] == list(range(2, 401))
+    assert all(memo is first for _, memo in calls)
+    calls.clear()
+    run_cond(tmp_path, "--min", "2", "--max", "2", "--numeric-cap", "0")
+    assert len(calls) == 1 and calls[0][1] is not first
 
 
 def test_cond_sweep_retains_little_memory(tmp_path):

@@ -280,6 +280,11 @@ def _ternary_kernels(s_max):
             if (c := nt.factorize(s)).omega == 3 and c.rad == s]
 
 
+def _representative(n):
+    # the integer whose series gives A(n)
+    return math.prod(nt._height_primes(nt.factorize(n)))
+
+
 def _direct_height(primes):
     # the largest |coefficient| of the lower half of Phi_s's own series
     half = math.prod(p - 1 for p in primes) // 2 + 1
@@ -296,14 +301,14 @@ def test_kaplan_representative_matches_the_direct_series():
     for s in kernels:
         p, q, r = (p for p, _ in nt.factorize(s).factors)
         m = p * q
-        k = nt.height_kernel(s)
+        k = _representative(s)
         r2 = k // m
         assert k == m * r2 and q < r2 <= r and nt.is_prime(r2) and math.gcd(r2, m) == 1, s
         assert r2 % m in (r % m, -r % m), s
         assert not any(nt.is_prime(x) for x in range(q + 1, r2)
                        if x % m in (r % m, -r % m)), s
-        assert nt.height_kernel(k) == k
-        assert nt.height_kernel(4 * p * s) == k
+        assert _representative(k) == k
+        assert _representative(4 * p * s) == k
         assert nt.height(s) == _direct_height([p, q, r]), s
 
 
@@ -314,8 +319,8 @@ def test_kaplan_representative_stays_above_q():
     assert nt.height(7 * 11 * 151) == _direct_height([7, 11, 151]) == 2
     assert nt.height(5 * 7 * 13) == 2 and nt.height(3 * 7 * 11) == 1
     assert (137 % 65, -151 % 77) == (7, 3)
-    assert nt.height_kernel(5 * 13 * 137) == 5 * 13 * 137
-    assert nt.height_kernel(7 * 11 * 151) == 7 * 11 * 151
+    assert _representative(5 * 13 * 137) == 5 * 13 * 137
+    assert _representative(7 * 11 * 151) == 7 * 11 * 151
 
 
 def test_binary_cyclotomic_is_lam_leungs_closed_form():
@@ -349,12 +354,32 @@ def test_ternary_series_matches_the_moebius_series():
             assert np.array_equal(got, nt._radical_series(primes, num_terms)), (primes, num_terms)
 
 
-def test_height_kernel_leaves_other_kernels_odd_and_squarefree():
+def test_representative_leaves_other_kernels_odd_and_squarefree():
     # omega(s) != 3: the odd squarefree kernel itself
     for n in (1, 2, 8, 9, 18, 45, 90, 2 * 3**2 * 5 * 7 * 11, 15015, 4 * 15015):
         c = nt.factorize(n)
         odd = [p for p, _ in c.factors if p != 2]
-        assert len(odd) != 3 and nt.height_kernel(n) == math.prod(odd), n
+        assert len(odd) != 3 and _representative(n) == math.prod(odd), n
+
+
+def test_height_memo_holds_the_representatives_and_skips_their_series(monkeypatch):
+    # a memo changes no height; its keys are the representatives with three
+    # or more primes, and a second pass over it expands no series
+    ns = range(1, 5001)
+    memo = {}
+    heights = [nt.height(n, memo) for n in ns]
+    assert heights == [nt.height(n) for n in ns]
+    reps = {_representative(n) for n in ns if nt.factorize(_representative(n)).omega >= 3}
+    assert set(memo) == reps and len(reps) == 209
+
+    def no_series(primes, num_terms):
+        raise AssertionError(f"series of {math.prod(primes)} expanded again")
+
+    monkeypatch.setattr(nt, "_ternary_series", no_series)
+    monkeypatch.setattr(nt, "_radical_series", no_series)
+    filled = dict(memo)
+    assert [nt.height(n, memo) for n in ns] == heights
+    assert memo == filled
 
 
 # ---------------------------------------------------------------------------

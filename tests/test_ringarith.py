@@ -738,9 +738,15 @@ _BENCH_Q12, _BENCH_Q13 = 3169320961, 20666646529  # bench --mcyclo 16 --r 12, 13
     pytest.param(Q_OBJECT_2POW18, 1 << 12, (), id="ntt-62bit"),
     pytest.param(Q_OBJECT_2POW18, 1, _residue_ds(Q_OBJECT_2POW18, 10), id="wht-62bit"),
     pytest.param(Q_OBJECT_2POW18, 16, _residue_ds(Q_OBJECT_2POW18, 12), id="16x12-62bit"),
+    # q = 3 (mod 4), where Tonelli-Shanks takes no step past a^((q+1)/4)
+    pytest.param(2**31 - 1, 1, _residue_ds(2**31 - 1, 8), id="wht-3mod4-u64"),
+    pytest.param(2**61 - 1, 1, _residue_ds(2**61 - 1, 8), id="wht-3mod4-62bit"),
 ])
 def test_tables_match_the_pure_int_oracle(q, mc, ds):
     ctx = ra.make_context(q, mc, ds)
+    # a residue has one square root s <= q - s, so the roots are pinned
+    for d, s in zip(ctx.quad_d, ctx.quad_roots):
+        assert s * s % q == d and s <= q - s, d
     want = _oracle_tables(ctx)
     for name in ("_fwd", "_inv", "_diag", "_hybrid_idiag"):
         table = getattr(ctx, name)
